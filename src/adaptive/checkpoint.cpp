@@ -24,24 +24,6 @@ std::string_view checkpoint_policy_name(CheckpointPolicy policy) {
 
 namespace {
 
-/// Events of `schedule` whose pairs are still remaining, as per-sender
-/// orders. Pairs outside `remaining` (already sent, or the zero-cost
-/// padding the rescheduling round introduces) are dropped.
-SendProgram remaining_program(const Schedule& schedule,
-                              const Matrix<unsigned char>& remaining) {
-  const std::size_t n = schedule.processor_count();
-  std::vector<std::vector<std::size_t>> orders(n);
-  std::vector<std::vector<std::size_t>> recv_orders(n);
-  for (std::size_t p = 0; p < n; ++p) {
-    for (const ScheduledEvent& event : schedule.sender_events(p))
-      if (remaining(event.src, event.dst) != 0) orders[p].push_back(event.dst);
-    for (const ScheduledEvent& event : schedule.receiver_events(p))
-      if (remaining(event.src, event.dst) != 0)
-        recv_orders[p].push_back(event.src);
-  }
-  return SendProgram{std::move(orders), std::move(recv_orders)};
-}
-
 /// Shared implementation; `trace` is null for the untraced entry point.
 AdaptiveResult run_adaptive_impl(const Scheduler& scheduler,
                                  const DirectoryService& directory,
@@ -101,7 +83,9 @@ AdaptiveResult run_adaptive_impl(const Scheduler& scheduler,
       return avail_aware->schedule_with_availability(comm, send_offset,
                                                      recv_offset);
     }();
-    const SendProgram program = remaining_program(planned, remaining);
+    // Pairs already sent, and the zero-cost padding the round's plan
+    // covers them with, drop out of the program.
+    const SendProgram program = SendProgram::from_schedule(planned, remaining);
 
     // Execute the plan against the live directory.
     sim_options.initial_send_avail.assign(n, 0.0);

@@ -44,29 +44,40 @@ std::vector<ScheduledEvent> filtered_sorted(
   return result;
 }
 
-using EventRefs = std::vector<const ScheduledEvent*>;
-
-// All events grouped by one port side, each group in (start, finish)
-// order — the same order filtered_sorted produces, but built in a single
-// pass over the event list. The whole-schedule consumers (idle_profile,
-// first_violation) use this instead of one filtered scan per processor,
-// which would be O(P·E) = O(P³) at wide P.
-std::vector<EventRefs> group_by_port(const std::vector<ScheduledEvent>& events,
-                                     std::size_t processor_count,
-                                     bool by_sender) {
-  std::vector<EventRefs> groups(processor_count);
-  for (const ScheduledEvent& event : events)
-    groups[by_sender ? event.src : event.dst].push_back(&event);
-  for (EventRefs& group : groups)
-    std::sort(group.begin(), group.end(),
-              [](const ScheduledEvent* a, const ScheduledEvent* b) {
-                return a->start_s < b->start_s ||
-                       (a->start_s == b->start_s && a->finish_s < b->finish_s);
-              });
-  return groups;
-}
-
 }  // namespace
+
+PortOrder Schedule::port_order(PortSide side) const {
+  const auto port_of = [side](const ScheduledEvent& event) {
+    return side == PortSide::kSend ? event.src : event.dst;
+  };
+  PortOrder order;
+  order.offsets.assign(processor_count_ + 1, 0);
+  for (const ScheduledEvent& event : events_) ++order.offsets[port_of(event) + 1];
+  for (std::size_t p = 0; p < processor_count_; ++p)
+    order.offsets[p + 1] += order.offsets[p];
+  order.events.resize(events_.size());
+  std::vector<std::size_t> next(order.offsets.begin(), order.offsets.end() - 1);
+  for (std::size_t e = 0; e < events_.size(); ++e)
+    order.events[next[port_of(events_[e])]++] = e;
+  // The scatter keeps schedule order within a port, so the index
+  // tiebreak makes this a stable sort by (start, finish). Schedulers emit
+  // most ports already in order; those skip the sort.
+  const auto earlier = [this](std::size_t a, std::size_t b) {
+    const ScheduledEvent& x = events_[a];
+    const ScheduledEvent& y = events_[b];
+    if (x.start_s != y.start_s) return x.start_s < y.start_s;
+    if (x.finish_s != y.finish_s) return x.finish_s < y.finish_s;
+    return a < b;
+  };
+  for (std::size_t p = 0; p < processor_count_; ++p) {
+    const auto first = order.events.begin() +
+                       static_cast<std::ptrdiff_t>(order.offsets[p]);
+    const auto last = order.events.begin() +
+                      static_cast<std::ptrdiff_t>(order.offsets[p + 1]);
+    if (!std::is_sorted(first, last, earlier)) std::sort(first, last, earlier);
+  }
+  return order;
+}
 
 std::vector<ScheduledEvent> Schedule::sender_events(std::size_t src) const {
   check(src < processor_count_, "Schedule: sender out of range");
@@ -80,32 +91,36 @@ std::vector<ScheduledEvent> Schedule::receiver_events(std::size_t dst) const {
 
 std::vector<ProcessorIdle> Schedule::idle_profile() const {
   std::vector<ProcessorIdle> profile(processor_count_);
-  const auto accumulate = [](const EventRefs& events, double& busy,
-                             double& idle) {
+  const auto accumulate = [this](std::span<const std::size_t> port,
+                                 double& busy, double& idle) {
     double cursor = 0.0;
-    for (const ScheduledEvent* event : events) {
-      busy += event->duration();
-      if (event->start_s > cursor) idle += event->start_s - cursor;
-      cursor = std::max(cursor, event->finish_s);
+    for (const std::size_t e : port) {
+      const ScheduledEvent& event = events_[e];
+      busy += event.duration();
+      if (event.start_s > cursor) idle += event.start_s - cursor;
+      cursor = std::max(cursor, event.finish_s);
     }
   };
-  const auto by_sender = group_by_port(events_, processor_count_, true);
-  const auto by_receiver = group_by_port(events_, processor_count_, false);
+  const PortOrder by_sender = port_order(PortSide::kSend);
+  const PortOrder by_receiver = port_order(PortSide::kReceive);
   for (std::size_t p = 0; p < processor_count_; ++p) {
-    accumulate(by_sender[p], profile[p].send_busy_s, profile[p].send_idle_s);
-    accumulate(by_receiver[p], profile[p].recv_busy_s, profile[p].recv_idle_s);
+    accumulate(by_sender.of(p), profile[p].send_busy_s, profile[p].send_idle_s);
+    accumulate(by_receiver.of(p), profile[p].recv_busy_s,
+               profile[p].recv_idle_s);
   }
   return profile;
 }
 
 namespace {
 
-std::optional<std::string> find_overlap(const EventRefs& sorted,
-                                        double tolerance, const char* port,
-                                        std::size_t processor) {
+std::optional<std::string> find_overlap(
+    const std::vector<ScheduledEvent>& events,
+    std::span<const std::size_t> sorted, double tolerance, const char* port,
+    std::size_t processor) {
   // Zero-duration events occupy no port time; skip them.
   const ScheduledEvent* previous = nullptr;
-  for (const ScheduledEvent* event : sorted) {
+  for (const std::size_t e : sorted) {
+    const ScheduledEvent* event = &events[e];
     if (event->duration() <= tolerance) continue;
     if (previous != nullptr &&
         event->start_s < previous->finish_s - tolerance) {
@@ -145,12 +160,14 @@ std::optional<std::string> Schedule::first_violation(const CommMatrix& comm,
   if (events_.size() != expected_events)
     return "schedule does not cover every processor pair exactly once";
 
-  const auto by_sender = group_by_port(events_, n, true);
-  const auto by_receiver = group_by_port(events_, n, false);
+  const PortOrder by_sender = port_order(PortSide::kSend);
+  const PortOrder by_receiver = port_order(PortSide::kReceive);
   for (std::size_t p = 0; p < n; ++p) {
-    if (auto overlap = find_overlap(by_sender[p], tolerance, "send", p))
+    if (auto overlap =
+            find_overlap(events_, by_sender.of(p), tolerance, "send", p))
       return overlap;
-    if (auto overlap = find_overlap(by_receiver[p], tolerance, "receive", p))
+    if (auto overlap = find_overlap(events_, by_receiver.of(p), tolerance,
+                                    "receive", p))
       return overlap;
   }
   return std::nullopt;

@@ -11,6 +11,7 @@
 
 #include <cstddef>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -37,6 +38,22 @@ struct ProcessorIdle {
   double recv_idle_s = 0.0;   ///< gaps between receives, up to the last receive
 };
 
+/// Which port of a processor an event occupies: the sender's send port or
+/// the receiver's receive port.
+enum class PortSide { kSend, kReceive };
+
+/// A schedule's events grouped by port, in compressed-sparse-row form:
+/// port p's events are `events[offsets[p] .. offsets[p + 1])`, ordered by
+/// (start, finish, position in the schedule).
+struct PortOrder {
+  std::vector<std::size_t> offsets;  ///< processor_count + 1 entries
+  std::vector<std::size_t> events;   ///< indices into Schedule::events()
+
+  [[nodiscard]] std::span<const std::size_t> of(std::size_t port) const {
+    return {events.data() + offsets[port], offsets[port + 1] - offsets[port]};
+  }
+};
+
 /// A complete timed schedule for one total exchange.
 class Schedule {
  public:
@@ -57,6 +74,12 @@ class Schedule {
 
   /// Events received by `dst`, ordered by start time.
   [[nodiscard]] std::vector<ScheduledEvent> receiver_events(std::size_t dst) const;
+
+  /// Every port's events in time order, built in O(E + P): a stable
+  /// counting scatter by port, then a sort of only those ports whose
+  /// events are not already in order. The single port-order routine
+  /// behind idle_profile(), first_violation() and send programs.
+  [[nodiscard]] PortOrder port_order(PortSide side) const;
 
   /// Per-processor busy/idle breakdown.
   [[nodiscard]] std::vector<ProcessorIdle> idle_profile() const;

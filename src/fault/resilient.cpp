@@ -66,23 +66,6 @@ std::string_view failure_reason_name(FailureReason reason) {
 
 namespace {
 
-/// Events of `schedule` whose pairs are still remaining, as per-sender
-/// orders (mirrors run_adaptive's round construction).
-SendProgram remaining_program(const Schedule& schedule,
-                              const Matrix<unsigned char>& remaining) {
-  const std::size_t n = schedule.processor_count();
-  std::vector<std::vector<std::size_t>> orders(n);
-  std::vector<std::vector<std::size_t>> recv_orders(n);
-  for (std::size_t p = 0; p < n; ++p) {
-    for (const ScheduledEvent& event : schedule.sender_events(p))
-      if (remaining(event.src, event.dst) != 0) orders[p].push_back(event.dst);
-    for (const ScheduledEvent& event : schedule.receiver_events(p))
-      if (remaining(event.src, event.dst) != 0)
-        recv_orders[p].push_back(event.src);
-  }
-  return SendProgram{std::move(orders), std::move(recv_orders)};
-}
-
 /// One round's commit stream: delivered events and give-ups, merged so a
 /// round where every attempt failed still advances the checkpoint clock.
 struct Candidate {
@@ -424,7 +407,7 @@ ResilientResult run_resilient_impl(const Scheduler& scheduler,
       return avail_aware->schedule_with_availability(comm, send_offset,
                                                      recv_offset);
     }();
-    const SendProgram program = remaining_program(planned, remaining);
+    const SendProgram program = SendProgram::from_schedule(planned, remaining);
 
     sim_options.initial_send_avail.assign(n, 0.0);
     sim_options.initial_recv_avail.assign(n, 0.0);

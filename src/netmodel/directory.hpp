@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <vector>
 
 #include "netmodel/network_model.hpp"
@@ -67,9 +68,24 @@ class StaticDirectory final : public DirectoryService {
 /// sampled on a fixed update period, clamped to
 /// [base/max_factor, base*max_factor]. Start-up costs stay fixed — latency
 /// in WANs is dominated by distance, not load. Queries are deterministic
-/// functions of (pair, time, seed): the walk is re-generated from a
-/// per-pair seed, so a DriftingDirectory can be queried out of order and
-/// still give reproducible answers.
+/// functions of (pair, time, seed): each pair's walk is drawn from its own
+/// seeded generator, so a DriftingDirectory can be queried out of order
+/// and still give reproducible answers.
+///
+/// Each ordered pair keeps a walk cursor — its generator (state and
+/// cached Box–Muller normal), the step it has reached and the clamped log
+/// factor there. A query at a later step advances the cursor; one at an
+/// earlier step reseeds the pair and walks forward again. Either way the
+/// same floating-point operations run as a walk replayed from t = 0, so
+/// factors are bit-identical to replay under any query order, while a
+/// clock that only moves forward costs O(steps advanced) per pair rather
+/// than O(steps since t = 0). snapshot() advances all P² cursors under
+/// one lock in one pass.
+///
+/// The cursor table is 64 bytes per ordered pair, allocated on the first
+/// query (≈0.6 MB at P = 96, ≈64 MB at P = 1024), and guarded by one
+/// mutex: concurrent queries and snapshots from several threads are safe
+/// and each returns what replay would.
 class DriftingDirectory final : public DirectoryService {
  public:
   struct Options {
@@ -86,14 +102,28 @@ class DriftingDirectory final : public DirectoryService {
   [[nodiscard]] std::size_t processor_count() const override;
   [[nodiscard]] LinkParams query(std::size_t src, std::size_t dst,
                                  double now_s) const override;
+  [[nodiscard]] NetworkModel snapshot(double now_s) const override;
 
  private:
-  [[nodiscard]] double factor_at(std::size_t src, std::size_t dst,
-                                 double now_s) const;
+  /// One pair's walk, paused after `step` steps.
+  struct WalkCursor {
+    Rng rng;
+    std::uint64_t step = 0;
+    double log_factor = 0.0;
+  };
+
+  [[nodiscard]] std::uint64_t step_at(double now_s) const;
+  /// exp(log factor) of the src -> dst walk after `step` steps; moves that
+  /// pair's cursor there. Caller holds mutex_.
+  [[nodiscard]] double factor_locked(std::size_t src, std::size_t dst,
+                                     std::uint64_t step) const;
 
   NetworkModel base_;
   std::uint64_t seed_;
   Options options_;
+  double max_log_ = 0.0;  ///< log(max_factor), the clamp bound
+  mutable std::mutex mutex_;
+  mutable std::vector<WalkCursor> walks_;  ///< P*P, row-major; guarded
 };
 
 /// Directory that replays a recorded sequence of network snapshots: the

@@ -356,7 +356,7 @@ void ScheduleServer::worker_loop(std::size_t worker) {
           break;
         }
       std::optional<ScheduleRequest> request;
-      std::shared_ptr<const NetworkModel> network;
+      std::shared_ptr<const Snapshot> view;
       if (!memo_hit) {
         request.emplace(decode_schedule_request(job->payload));
         if (request->messages.rows() != directory_.processor_count()) {
@@ -368,8 +368,8 @@ void ScheduleServer::worker_loop(std::size_t worker) {
           write_frame_to(*job->connection, FrameType::kError, body);
           failed = true;
         } else {
-          network = snapshot_at(request->now_s);
-          const CommMatrix comm{*network, request->messages};
+          view = snapshot_at(request->now_s);
+          const CommMatrix comm{view->network, request->messages};
           built_key = make_schedule_key(request->kind, request->hierarchical,
                                         comm.times(), options_.quantum);
           key = &built_key;
@@ -385,16 +385,16 @@ void ScheduleServer::worker_loop(std::size_t worker) {
               // Memo hit that must solve anyway (entry was evicted or
               // invalidated): pay the decode after all.
               request.emplace(decode_schedule_request(job->payload));
-              network = snapshot_at(request->now_s);
+              view = snapshot_at(request->now_s);
             }
-            const CommMatrix comm{*network, request->messages};
+            const CommMatrix comm{view->network, request->messages};
             const auto s0 = std::chrono::steady_clock::now();
             Schedule planned = [&] {
               if (request->hierarchical) {
                 HierarchicalScheduler::Options hier;
                 hier.inner = request->kind;
                 hier.seed = options_.seed;
-                return HierarchicalScheduler{detect_clusters(*network), hier}
+                return HierarchicalScheduler{view->clusters(), hier}
                     .schedule(comm);
               }
               return scheduler_for(request->kind).schedule(comm);
@@ -489,7 +489,12 @@ void ScheduleServer::worker_loop(std::size_t worker) {
   }
 }
 
-std::shared_ptr<const NetworkModel> ScheduleServer::snapshot_at(
+const Clustering& ScheduleServer::Snapshot::clusters() const {
+  std::call_once(detect_once_, [this] { clusters_ = detect_clusters(network); });
+  return *clusters_;
+}
+
+std::shared_ptr<const ScheduleServer::Snapshot> ScheduleServer::snapshot_at(
     double now_s) {
   const bool invariant = directory_.time_invariant();
   {
@@ -499,11 +504,10 @@ std::shared_ptr<const NetworkModel> ScheduleServer::snapshot_at(
       return snapshot_;
     }
   }
-  // Built outside the lock: a snapshot can be expensive (a drifting
-  // directory regenerates P^2 random walks), and two workers racing to
-  // build the same instant just do redundant work, not wrong work.
-  auto fresh =
-      std::make_shared<const NetworkModel>(directory_.snapshot(now_s));
+  // Built outside the lock: a snapshot costs P^2 directory entries (a
+  // drifting directory advances P^2 random walks), and two workers racing
+  // to build the same instant just do redundant work, not wrong work.
+  auto fresh = std::make_shared<const Snapshot>(directory_.snapshot(now_s));
   snapshot_builds_.fetch_add(1, std::memory_order_relaxed);
   const std::lock_guard<std::mutex> lock(snapshot_mutex_);
   snapshot_now_ = now_s;

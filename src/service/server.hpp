@@ -46,6 +46,7 @@
 #include <thread>
 #include <vector>
 
+#include "netmodel/cluster_detect.hpp"
 #include "netmodel/directory.hpp"
 #include "service/schedule_cache.hpp"
 #include "service/wire.hpp"
@@ -197,11 +198,25 @@ class ScheduleServer {
   void accept_loop();
   void reader_loop(const std::shared_ptr<Connection>& connection);
   void worker_loop(std::size_t worker);
+  /// One directory snapshot and, detected on first need, its clusters:
+  /// every hierarchical solve against the same snapshot shares one
+  /// detect_clusters run.
+  struct Snapshot {
+    explicit Snapshot(NetworkModel view) : network(std::move(view)) {}
+    const NetworkModel network;
+    /// detect_clusters(network), computed once. Thread-safe.
+    [[nodiscard]] const Clustering& clusters() const;
+
+   private:
+    mutable std::once_flag detect_once_;
+    mutable std::optional<Clustering> clusters_;
+  };
+
   /// Memoized directory view: time-invariant directories snapshot once
   /// ever; time-varying ones reuse the last snapshot while requests keep
   /// asking for the same now_s (replay traces and request bursts do),
   /// regenerating only when the instant changes. Thread-safe.
-  [[nodiscard]] std::shared_ptr<const NetworkModel> snapshot_at(double now_s);
+  [[nodiscard]] std::shared_ptr<const Snapshot> snapshot_at(double now_s);
   void handle_admin(const std::shared_ptr<Connection>& connection,
                     const Frame& frame);
   void write_frame_to(Connection& connection, FrameType type,
@@ -238,7 +253,7 @@ class ScheduleServer {
 
   std::mutex snapshot_mutex_;
   double snapshot_now_ = -1.0;
-  std::shared_ptr<const NetworkModel> snapshot_;
+  std::shared_ptr<const Snapshot> snapshot_;
 
   std::atomic<std::uint64_t> busy_rejections_{0};
   std::atomic<std::uint64_t> drain_rejections_{0};

@@ -1,7 +1,5 @@
 #include "sim/send_program.hpp"
 
-#include <algorithm>
-
 #include "util/error.hpp"
 
 namespace hcs {
@@ -39,37 +37,43 @@ SendProgram::SendProgram(std::vector<std::vector<std::size_t>> orders,
   });
 }
 
-SendProgram SendProgram::from_schedule(const Schedule& schedule) {
-  const std::size_t n = schedule.processor_count();
-  // Sort one index array per port side instead of calling
-  // sender_events/receiver_events per processor — those filter the whole
-  // event list each time, O(P·E) = O(P³) at wide P.
-  const std::vector<ScheduledEvent>& events = schedule.events();
-  std::vector<std::size_t> by_send(events.size());
-  std::vector<std::size_t> by_recv(events.size());
-  for (std::size_t e = 0; e < events.size(); ++e) by_send[e] = by_recv[e] = e;
-  const auto time_order = [&events](bool by_sender) {
-    return [&events, by_sender](std::size_t a, std::size_t b) {
-      const ScheduledEvent& x = events[a];
-      const ScheduledEvent& y = events[b];
-      const std::size_t px = by_sender ? x.src : x.dst;
-      const std::size_t py = by_sender ? y.src : y.dst;
-      if (px != py) return px < py;
-      if (x.start_s != y.start_s) return x.start_s < y.start_s;
-      if (x.finish_s != y.finish_s) return x.finish_s < y.finish_s;
-      return a < b;  // schedule order as the final tiebreak: total, stable
-    };
-  };
-  std::sort(by_send.begin(), by_send.end(), time_order(true));
-  std::sort(by_recv.begin(), by_recv.end(), time_order(false));
+namespace {
 
-  std::vector<std::vector<std::size_t>> orders(n);
-  std::vector<std::vector<std::size_t>> recv_orders(n);
-  for (const std::size_t e : by_send)
-    orders[events[e].src].push_back(events[e].dst);
-  for (const std::size_t e : by_recv)
-    recv_orders[events[e].dst].push_back(events[e].src);
-  return SendProgram{std::move(orders), std::move(recv_orders)};
+// One side's orders: for each port, the far ends of its events in port
+// order, keeping only the events whose pair `keep` marks (all of them
+// when `keep` is null).
+std::vector<std::vector<std::size_t>> port_orders(
+    const Schedule& schedule, PortSide side,
+    const Matrix<unsigned char>* keep) {
+  const std::vector<ScheduledEvent>& events = schedule.events();
+  const PortOrder order = schedule.port_order(side);
+  std::vector<std::vector<std::size_t>> orders(schedule.processor_count());
+  for (std::size_t p = 0; p < orders.size(); ++p) {
+    const auto port = order.of(p);
+    orders[p].reserve(port.size());
+    for (const std::size_t e : port) {
+      const ScheduledEvent& event = events[e];
+      if (keep != nullptr && (*keep)(event.src, event.dst) == 0) continue;
+      orders[p].push_back(side == PortSide::kSend ? event.dst : event.src);
+    }
+  }
+  return orders;
+}
+
+}  // namespace
+
+SendProgram SendProgram::from_schedule(const Schedule& schedule) {
+  return SendProgram{port_orders(schedule, PortSide::kSend, nullptr),
+                     port_orders(schedule, PortSide::kReceive, nullptr)};
+}
+
+SendProgram SendProgram::from_schedule(const Schedule& schedule,
+                                       const Matrix<unsigned char>& remaining) {
+  const std::size_t n = schedule.processor_count();
+  if (remaining.rows() != n || remaining.cols() != n)
+    throw InputError("SendProgram: remaining mask does not match schedule");
+  return SendProgram{port_orders(schedule, PortSide::kSend, &remaining),
+                     port_orders(schedule, PortSide::kReceive, &remaining)};
 }
 
 SendProgram SendProgram::from_steps(const StepSchedule& steps) {

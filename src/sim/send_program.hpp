@@ -11,6 +11,7 @@
 
 #include "core/schedule.hpp"
 #include "core/step_schedule.hpp"
+#include "util/matrix.hpp"
 
 namespace hcs {
 
@@ -38,6 +39,13 @@ class SendProgram {
   /// Orders from a timed schedule: per-sender events by start time, and
   /// per-receiver events by start time.
   [[nodiscard]] static SendProgram from_schedule(const Schedule& schedule);
+
+  /// Orders of only the events whose pair is nonzero in `remaining` (a
+  /// P×P mask), in the same per-port order — the still-outstanding part
+  /// of a plan, which the checkpoint and fault-tolerant executors run
+  /// round by round.
+  [[nodiscard]] static SendProgram from_schedule(
+      const Schedule& schedule, const Matrix<unsigned char>& remaining);
 
   /// Orders from a step schedule: step order on both sides.
   [[nodiscard]] static SendProgram from_steps(const StepSchedule& steps);

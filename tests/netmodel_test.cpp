@@ -3,7 +3,10 @@
 // topology.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <thread>
+#include <vector>
 
 #include "netmodel/directory.hpp"
 #include "netmodel/generator.hpp"
@@ -12,6 +15,7 @@
 #include "netmodel/network_model.hpp"
 #include "netmodel/topology.hpp"
 #include "util/error.hpp"
+#include "util/rng.hpp"
 
 namespace hcs {
 namespace {
@@ -209,6 +213,193 @@ TEST(DriftingDirectory, BadOptionsThrow) {
   DriftingDirectory::Options bad_factor;
   bad_factor.max_factor = 0.5;
   EXPECT_THROW(DriftingDirectory(gusto::network(), 1, bad_factor), InputError);
+}
+
+// Reference for the walk cursors: the pair's walk replayed from t = 0 on
+// every query, as DriftingDirectory computed factors before it kept
+// cursors. Cursor answers must equal it bit for bit.
+double replayed_factor(std::uint64_t seed,
+                       const DriftingDirectory::Options& options,
+                       std::size_t src, std::size_t dst, double now_s) {
+  const auto steps =
+      now_s <= 0.0 ? 0
+                   : static_cast<std::uint64_t>(now_s / options.update_period_s);
+  std::uint64_t mix = seed;
+  mix ^= 0x9E3779B97F4A7C15ULL * (static_cast<std::uint64_t>(src) + 1);
+  mix ^= 0xC2B2AE3D27D4EB4FULL * (static_cast<std::uint64_t>(dst) + 1);
+  Rng rng{mix};
+  const double max_log = std::log(options.max_factor);
+  double log_factor = 0.0;
+  for (std::uint64_t s = 0; s < steps; ++s) {
+    log_factor += rng.normal(0.0, options.step_sigma);
+    log_factor = std::clamp(log_factor, -max_log, max_log);
+  }
+  return std::exp(log_factor);
+}
+
+LinkParams replayed_link(const NetworkModel& base, std::uint64_t seed,
+                         const DriftingDirectory::Options& options,
+                         std::size_t src, std::size_t dst, double now_s) {
+  LinkParams params = base.link(src, dst);
+  if (src != dst)
+    params.bandwidth_Bps *= replayed_factor(seed, options, src, dst, now_s);
+  return params;
+}
+
+// The whole replayed view, with the 0 s / 1 B/s diagonal snapshots carry.
+NetworkModel replayed_snapshot(const NetworkModel& base, std::uint64_t seed,
+                               const DriftingDirectory::Options& options,
+                               double now_s) {
+  const std::size_t n = base.processor_count();
+  NetworkModel view{n, LinkParams{0.0, 1.0}};
+  for (std::size_t i = 0; i < n; ++i)
+    for (std::size_t j = 0; j < n; ++j)
+      if (i != j)
+        view.set_link(i, j, replayed_link(base, seed, options, i, j, now_s));
+  return view;
+}
+
+bool same_view(const NetworkModel& a, const NetworkModel& b) {
+  if (a.processor_count() != b.processor_count()) return false;
+  for (std::size_t i = 0; i < a.processor_count(); ++i)
+    for (std::size_t j = 0; j < a.processor_count(); ++j)
+      if (!(a.link(i, j) == b.link(i, j))) return false;
+  return true;
+}
+
+// One walk whose clamp never binds over the tested horizon and one whose
+// clamp binds often.
+std::vector<DriftingDirectory::Options> cursor_test_options() {
+  DriftingDirectory::Options loose;
+  loose.update_period_s = 0.5;
+  loose.step_sigma = 0.05;
+  loose.max_factor = 1000.0;
+  DriftingDirectory::Options tight;
+  tight.update_period_s = 1.0;
+  tight.step_sigma = 0.6;
+  tight.max_factor = 1.5;
+  return {loose, tight};
+}
+
+TEST(DriftingDirectory, CursorQueriesMatchReplayInEveryOrder) {
+  const NetworkModel base = generate_network(6, 3);
+  const std::uint64_t seed = 41;
+  for (const auto& options : cursor_test_options()) {
+    const double max_log = std::log(options.max_factor);
+    std::size_t clamped = 0;
+    const auto expect_replay = [&](const DriftingDirectory& directory,
+                                   std::size_t i, std::size_t j, double t) {
+      const LinkParams got = directory.query(i, j, t);
+      EXPECT_EQ(got, replayed_link(base, seed, options, i, j, t))
+          << "pair " << i << "->" << j << " at t = " << t;
+      if (i != j &&
+          std::abs(std::log(got.bandwidth_Bps / base.link(i, j).bandwidth_Bps)) >
+              max_log - 1e-12)
+        ++clamped;
+    };
+    std::vector<double> instants;
+    for (double t = 0.0; t < 40.0; t += 0.7) instants.push_back(t);
+
+    // Forward: every pair walks its cursor ahead.
+    {
+      const DriftingDirectory directory{base, seed, options};
+      for (const double t : instants)
+        for (std::size_t i = 0; i < 6; ++i)
+          for (std::size_t j = 0; j < 6; ++j) expect_replay(directory, i, j, t);
+    }
+    // Backward: every query restarts its pair's walk.
+    {
+      const DriftingDirectory directory{base, seed, options};
+      for (auto t = instants.rbegin(); t != instants.rend(); ++t)
+        for (std::size_t i = 0; i < 6; ++i)
+          for (std::size_t j = 0; j < 6; ++j)
+            expect_replay(directory, i, j, *t);
+    }
+    // Repeated: the same instant three times, then a negative one.
+    {
+      const DriftingDirectory directory{base, seed, options};
+      for (int k = 0; k < 3; ++k) expect_replay(directory, 2, 4, 23.0);
+      expect_replay(directory, 2, 4, -5.0);
+      expect_replay(directory, 2, 4, 23.0);
+    }
+    // Pair-interleaved: random pairs at random instants, so cursors sit
+    // at different steps and move both ways.
+    {
+      const DriftingDirectory directory{base, seed, options};
+      Rng rng{99};
+      for (int k = 0; k < 400; ++k) {
+        const auto i = static_cast<std::size_t>(rng.next_below(6));
+        const auto j = static_cast<std::size_t>(rng.next_below(6));
+        expect_replay(directory, i, j, rng.uniform(0.0, 40.0));
+      }
+    }
+    if (options.max_factor < 2.0)
+      EXPECT_GT(clamped, 0u) << "the tight clamp should bind";
+    else
+      EXPECT_EQ(clamped, 0u) << "the loose clamp should never bind";
+  }
+}
+
+TEST(DriftingDirectory, CursorSnapshotsMatchReplay) {
+  const NetworkModel base = generate_network(7, 5);
+  const std::uint64_t seed = 8;
+  for (const auto& options : cursor_test_options()) {
+    const DriftingDirectory directory{base, seed, options};
+    // Forward, repeated, backward, and mixed with single-pair queries
+    // that leave one cursor ahead of the rest.
+    for (const double t : {0.0, 3.0, 3.0, 12.5, 30.0, 7.0, 0.0, 18.0}) {
+      (void)directory.query(1, 3, t + 6.0);
+      const NetworkModel snap = directory.snapshot(t);
+      EXPECT_TRUE(same_view(snap, replayed_snapshot(base, seed, options, t)))
+          << "snapshot at t = " << t;
+      // The per-pair default snapshot goes through query(): same view.
+      EXPECT_TRUE(same_view(snap, directory.DirectoryService::snapshot(t)))
+          << "query-built snapshot at t = " << t;
+    }
+  }
+}
+
+TEST(DriftingDirectory, ConcurrentSnapshotsAndQueriesMatchReplay) {
+  const std::size_t n = 8;
+  const NetworkModel base = generate_network(n, 11);
+  const std::uint64_t seed = 21;
+  DriftingDirectory::Options options;
+  options.step_sigma = 0.3;
+  const DriftingDirectory directory{base, seed, options};
+  constexpr int kInstants = 30;
+  std::vector<NetworkModel> reference;
+  for (int t = 0; t < kInstants; ++t)
+    reference.push_back(replayed_snapshot(base, seed, options, t));
+
+  // One thread snapshots even instants, the other queries every pair at
+  // odd instants; each sweeps forward and backward in turn, in opposite
+  // phase, so the two keep moving the same cursors both ways.
+  constexpr int kRounds = 20;
+  std::size_t snapshot_mismatches = 0;
+  std::size_t query_mismatches = 0;
+  std::thread snapshotter([&] {
+    for (int round = 0; round < kRounds; ++round)
+      for (int k = 0; k < kInstants; k += 2) {
+        const int t = round % 2 == 0 ? k : kInstants - 2 - k;
+        if (!same_view(directory.snapshot(t), reference[t]))
+          ++snapshot_mismatches;
+      }
+  });
+  std::thread querier([&] {
+    for (int round = 0; round < kRounds; ++round)
+      for (int k = 1; k < kInstants; k += 2) {
+        const int t = round % 2 == 0 ? kInstants - k : k;
+        for (std::size_t i = 0; i < n; ++i)
+          for (std::size_t j = 0; j < n; ++j)
+            if (i != j &&
+                !(directory.query(i, j, t) == reference[t].link(i, j)))
+              ++query_mismatches;
+      }
+  });
+  snapshotter.join();
+  querier.join();
+  EXPECT_EQ(snapshot_mismatches, 0u);
+  EXPECT_EQ(query_mismatches, 0u);
 }
 
 TEST(TraceDirectory, SelectsLatestSnapshotAtOrBeforeNow) {

@@ -5,15 +5,19 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <utility>
 
 #include "core/baseline.hpp"
+#include "core/hierarchical_scheduler.hpp"
 #include "core/openshop_scheduler.hpp"
 #include "core/scheduler.hpp"
+#include "netmodel/cluster_detect.hpp"
 #include "netmodel/directory.hpp"
 #include "netmodel/generator.hpp"
 #include "sim/simulator.hpp"
 #include "test_helpers.hpp"
 #include "util/error.hpp"
+#include "util/rng.hpp"
 #include "workload/generators.hpp"
 
 namespace hcs {
@@ -40,6 +44,119 @@ TEST(SendProgram, FromScheduleOrdersByStartTime) {
   const SendProgram program = SendProgram::from_schedule(schedule);
   EXPECT_EQ(program.order_of(0), (std::vector<std::size_t>{1, 2}));
   EXPECT_EQ(program.event_count(), 6u);
+}
+
+// Reference for SendProgram::from_schedule: one global sort per port side
+// by (port, start, finish, schedule index), as the program was built
+// before port orders. `keep`, when given, filters pairs afterwards.
+std::pair<Orders, Orders> global_sort_orders(
+    const Schedule& schedule, const Matrix<unsigned char>* keep = nullptr) {
+  const std::vector<ScheduledEvent>& events = schedule.events();
+  const auto sorted = [&events](bool by_sender) {
+    std::vector<std::size_t> index(events.size());
+    for (std::size_t e = 0; e < events.size(); ++e) index[e] = e;
+    std::sort(index.begin(), index.end(), [&](std::size_t a, std::size_t b) {
+      const ScheduledEvent& x = events[a];
+      const ScheduledEvent& y = events[b];
+      const std::size_t px = by_sender ? x.src : x.dst;
+      const std::size_t py = by_sender ? y.src : y.dst;
+      if (px != py) return px < py;
+      if (x.start_s != y.start_s) return x.start_s < y.start_s;
+      if (x.finish_s != y.finish_s) return x.finish_s < y.finish_s;
+      return a < b;
+    });
+    return index;
+  };
+  Orders orders(schedule.processor_count());
+  Orders recv_orders(schedule.processor_count());
+  const auto kept = [keep](const ScheduledEvent& event) {
+    return keep == nullptr || (*keep)(event.src, event.dst) != 0;
+  };
+  for (const std::size_t e : sorted(true))
+    if (kept(events[e])) orders[events[e].src].push_back(events[e].dst);
+  for (const std::size_t e : sorted(false))
+    if (kept(events[e])) recv_orders[events[e].dst].push_back(events[e].src);
+  return {std::move(orders), std::move(recv_orders)};
+}
+
+void expect_same_orders(const SendProgram& program,
+                        const std::pair<Orders, Orders>& reference) {
+  ASSERT_EQ(program.processor_count(), reference.first.size());
+  ASSERT_TRUE(program.has_receiver_orders());
+  for (std::size_t p = 0; p < program.processor_count(); ++p) {
+    EXPECT_EQ(program.order_of(p), reference.first[p]) << "sender " << p;
+    EXPECT_EQ(program.receiver_order_of(p), reference.second[p])
+        << "receiver " << p;
+  }
+}
+
+TEST(SendProgram, FromScheduleMatchesGlobalSortOnShuffledEvents) {
+  const std::size_t n = 12;
+  const NetworkModel network = generate_network(n, 4);
+  const CommMatrix comm{network, mixed_messages(n, 4, {1024, kMiB})};
+  const Schedule planned = OpenShopScheduler{}.schedule(comm);
+  Rng rng{17};
+  for (int trial = 0; trial < 5; ++trial) {
+    std::vector<ScheduledEvent> events = planned.events();
+    rng.shuffle(events);
+    const Schedule shuffled{n, std::move(events)};
+    expect_same_orders(SendProgram::from_schedule(shuffled),
+                       global_sort_orders(shuffled));
+  }
+}
+
+TEST(SendProgram, FromScheduleMatchesGlobalSortOnTiesAndZeroDurations) {
+  // Equal starts with different finishes, exact (start, finish) ties that
+  // only schedule position breaks, and zero-duration events at the same
+  // instant as real ones — listed out of time order.
+  const Schedule schedule{4,
+                          {{0, 3, 2.0, 2.0},
+                           {0, 1, 2.0, 5.0},
+                           {0, 2, 2.0, 3.0},
+                           {1, 0, 1.0, 1.0},
+                           {1, 3, 1.0, 1.0},
+                           {1, 2, 0.0, 1.0},
+                           {2, 0, 4.0, 4.0},
+                           {2, 3, 4.0, 4.0},
+                           {2, 1, 4.0, 4.0},
+                           {3, 1, 3.0, 6.0},
+                           {3, 0, 0.0, 0.0},
+                           {3, 2, 3.0, 6.0}}};
+  const SendProgram program = SendProgram::from_schedule(schedule);
+  expect_same_orders(program, global_sort_orders(schedule));
+  EXPECT_EQ(program.order_of(0), (std::vector<std::size_t>{3, 2, 1}));
+  EXPECT_EQ(program.order_of(2), (std::vector<std::size_t>{0, 3, 1}));
+}
+
+TEST(SendProgram, FromScheduleMatchesGlobalSortOnWideHierarchicalPlan) {
+  const std::size_t n = 256;
+  ClusteredNetworkOptions family;
+  family.cluster_count = 8;
+  const NetworkModel network = generate_clustered_network(n, 6, family);
+  const CommMatrix comm{network, mixed_messages(n, 6, {1024, kMiB})};
+  HierarchicalScheduler::Options options;
+  options.inner = SchedulerKind::kGreedy;
+  const Schedule planned =
+      HierarchicalScheduler{detect_clusters(network), options}.schedule(comm);
+  expect_same_orders(SendProgram::from_schedule(planned),
+                     global_sort_orders(planned));
+}
+
+TEST(SendProgram, MaskedFromScheduleKeepsOnlyRemainingPairsInOrder) {
+  const std::size_t n = 10;
+  const NetworkModel network = generate_network(n, 8);
+  const Schedule planned =
+      OpenShopScheduler{}.schedule(CommMatrix{network, uniform_messages(n, kMiB)});
+  Rng rng{5};
+  Matrix<unsigned char> remaining(n, n, 0);
+  remaining.for_each([&rng](std::size_t, std::size_t, unsigned char& keep) {
+    keep = rng.bernoulli(0.5) ? 1 : 0;
+  });
+  expect_same_orders(SendProgram::from_schedule(planned, remaining),
+                     global_sort_orders(planned, &remaining));
+  EXPECT_THROW((void)SendProgram::from_schedule(
+                   planned, Matrix<unsigned char>(n - 1, n - 1, 1)),
+               InputError);
 }
 
 TEST(SendProgram, FromStepsFollowsStepOrder) {
