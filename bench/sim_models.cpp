@@ -11,15 +11,23 @@
 // retained naive implementation (sim/reference_simulator.hpp) so
 // BENCH_scheduler.json records before/after numbers side by side; both
 // sides are golden-trace verified bit-identical (tests/sim_golden_test).
+// BM_TraceAudit times the traced tail of a scenario run at wide P: a
+// fresh ring sized like run_scenario's, a traced simulation of a
+// clustered hierarchical(greedy) plan, and the audit replay.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <vector>
 
+#include "core/comm_matrix.hpp"
+#include "core/hierarchical_scheduler.hpp"
+#include "netmodel/cluster_detect.hpp"
 #include "netmodel/directory.hpp"
 #include "netmodel/generator.hpp"
 #include "sim/reference_simulator.hpp"
 #include "sim/simulator.hpp"
+#include "trace/auditor.hpp"
 #include "workload/generators.hpp"
 
 namespace {
@@ -155,6 +163,38 @@ void BM_AdaptiveRound(benchmark::State& state) {
   state.SetComplexityN(state.range(0));
 }
 
+/// Trace, then audit, a P-wide clustered hierarchical(greedy) exchange.
+/// Each iteration builds a fresh ring of max(2^16, 4P^2) events, as
+/// run_scenario does, so first touch of the ring is part of the cost.
+void BM_TraceAudit(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  hcs::ClusteredNetworkOptions network_options;
+  network_options.cluster_count = 8;
+  const hcs::NetworkModel network =
+      hcs::generate_clustered_network(n, kSeed, network_options);
+  const hcs::MessageMatrix messages =
+      hcs::mixed_messages(n, kSeed, {hcs::kKiB, hcs::kMiB});
+  hcs::HierarchicalScheduler::Options scheduler_options;
+  scheduler_options.inner = hcs::SchedulerKind::kGreedy;
+  const hcs::HierarchicalScheduler scheduler{hcs::detect_clusters(network),
+                                             scheduler_options};
+  const hcs::SendProgram program = hcs::SendProgram::from_schedule(
+      scheduler.schedule(hcs::CommMatrix{network, messages}));
+  const hcs::StaticDirectory directory{network};
+  const hcs::NetworkSimulator simulator{directory, messages};
+  const hcs::ScheduleAuditor auditor;
+  for (auto _ : state) {
+    hcs::EventTrace trace{
+        std::max<std::size_t>(std::size_t{1} << 16, 4 * n * n)};
+    const hcs::SimResult result = simulator.run_traced(program, {}, trace);
+    const hcs::AuditReport report =
+        auditor.audit(trace, result.completion_time);
+    if (!report.ok()) state.SkipWithError(report.violations.front().c_str());
+    benchmark::DoNotOptimize(report.transfers);
+  }
+  state.SetComplexityN(state.range(0));
+}
+
 }  // namespace
 
 BENCHMARK(BM_SimSerialized)->RangeMultiplier(2)->Range(8, 128)->Complexity();
@@ -170,5 +210,10 @@ BENCHMARK(BM_SimInterleavedTraced)->RangeMultiplier(2)->Range(8, 128)->Complexit
 BENCHMARK(BM_SimBufferedTraced)->RangeMultiplier(2)->Range(8, 128)->Complexity();
 BENCHMARK(BM_RefSimBuffered)->RangeMultiplier(2)->Range(8, 64)->Complexity();
 BENCHMARK(BM_AdaptiveRound)->RangeMultiplier(2)->Range(8, 64)->Complexity();
+BENCHMARK(BM_TraceAudit)
+    ->RangeMultiplier(2)
+    ->Range(128, 1024)
+    ->Unit(benchmark::kMillisecond)
+    ->Complexity(benchmark::oNSquared);
 
 BENCHMARK_MAIN();

@@ -218,7 +218,9 @@ ScenarioRun run_scenario(const ScenarioSpec& spec) {
   planned.validate(resolved.comm);
 
   // ~4 trace events per ordered pair (and more under retries/relays);
-  // size the ring so the audit sees the full history, not a window.
+  // size the ring so the audit sees the full history, not a window. The
+  // ring is reserved up front but stays virtual until written, so the
+  // slack costs no resident memory.
   const std::size_t n = spec.processors;
   EventTrace trace{std::max<std::size_t>(std::size_t{1} << 16, 4 * n * n)};
   const Execution exec = execute(resolved, planned, trace);

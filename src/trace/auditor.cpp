@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
 #include <optional>
 #include <sstream>
 
@@ -56,6 +55,36 @@ void check_port_overlaps(std::vector<Span>& spans, const char* tag,
   }
 }
 
+/// One (port, side)'s overlap check, streamed in trace order. It keeps
+/// only the last span with nonzero duration. While every later such span
+/// sorts at or after it in (start, end) order and starts no earlier than
+/// its end (within tolerance), the spans arrive already sorted and
+/// back-to-back, so check_port_overlaps would report nothing and no span
+/// need be kept. (In exact arithmetic the second condition implies the
+/// first; the order test keeps rounding in `end - tolerance` from ever
+/// passing an unsorted port.) Anything else (an overlap, an equal-key
+/// tie, out-of-order emission, a NaN) flags the port; its spans are then
+/// gathered from the trace and run through check_port_overlaps itself.
+struct PortStream {
+  double start = 0.0;
+  double end = 0.0;
+  bool seen = false;
+  bool flagged = false;
+  std::vector<Span> spans;  ///< filled only for flagged ports
+
+  void add(double t_s, double t_end_s, double tolerance) {
+    if (flagged || t_end_s - t_s <= tolerance) return;  // zero-duration
+    const bool in_order = t_s > start || (t_s == start && t_end_s >= end);
+    if (seen && !(in_order && t_s >= end - tolerance)) {
+      flagged = true;
+      return;
+    }
+    start = t_s;
+    end = t_end_s;
+    seen = true;
+  }
+};
+
 }  // namespace
 
 std::string AuditReport::summary() const {
@@ -79,18 +108,18 @@ AuditReport ScheduleAuditor::audit(const EventTrace& trace) const {
         std::to_string(trace.dropped()) +
         " events; the audit window does not cover the run");
 
-  const std::vector<TraceEvent> events = trace.events();
   const std::size_t n = trace.processor_count();
+  const bool serialized = options_.serialized_receives;
 
   // Per-sender outstanding send start, for start/completion pairing.
   std::vector<std::optional<TraceEvent>> outstanding(n);
   // Receive grants awaiting their transfer, per receiver.
   std::vector<std::optional<TraceEvent>> pending_grant(n);
-  std::vector<std::vector<Span>> send_spans(n);
-  std::vector<std::vector<Span>> recv_spans(n);
-  std::vector<std::vector<Span>> drain_spans(n);
+  std::vector<PortStream> send_ports(n);
+  std::vector<PortStream> recv_ports(n);
+  std::vector<PortStream> drain_ports(n);
 
-  for (const TraceEvent& event : events) {
+  trace.for_each([&](const TraceEvent& event) {
     const bool is_span = occupies_ports(event.kind) ||
                          event.kind == TraceEventKind::kBufferDrain;
     if (event.t_s < -tol)
@@ -158,13 +187,10 @@ AuditReport ScheduleAuditor::audit(const EventTrace& trace) const {
     }
 
     if (occupies_ports(event.kind)) {
-      send_spans[event.src].push_back(
-          {event.t_s, event.t_end_s, event.src, event.dst});
-      recv_spans[event.dst].push_back(
-          {event.t_s, event.t_end_s, event.src, event.dst});
+      send_ports[event.src].add(event.t_s, event.t_end_s, tol);
+      if (serialized) recv_ports[event.dst].add(event.t_s, event.t_end_s, tol);
     } else if (event.kind == TraceEventKind::kBufferDrain) {
-      drain_spans[event.dst].push_back(
-          {event.t_s, event.t_end_s, event.src, event.dst});
+      drain_ports[event.dst].add(event.t_s, event.t_end_s, tol);
     }
 
     if (event.kind == TraceEventKind::kSendEnd ||
@@ -174,6 +200,26 @@ AuditReport ScheduleAuditor::audit(const EventTrace& trace) const {
     }
     if (event.kind == TraceEventKind::kBufferDrain)
       report.completion_s = std::max(report.completion_s, event.t_end_s);
+  });
+
+  // Ports the stream could not prove clean get the exact check, on the
+  // same spans in the same (trace) order as a full collection would give.
+  const auto flagged = [](const PortStream& port) { return port.flagged; };
+  if (std::any_of(send_ports.begin(), send_ports.end(), flagged) ||
+      std::any_of(recv_ports.begin(), recv_ports.end(), flagged) ||
+      std::any_of(drain_ports.begin(), drain_ports.end(), flagged)) {
+    trace.for_each([&](const TraceEvent& event) {
+      const Span span{event.t_s, event.t_end_s, event.src, event.dst};
+      if (occupies_ports(event.kind)) {
+        if (send_ports[event.src].flagged)
+          send_ports[event.src].spans.push_back(span);
+        if (recv_ports[event.dst].flagged)
+          recv_ports[event.dst].spans.push_back(span);
+      } else if (event.kind == TraceEventKind::kBufferDrain &&
+                 drain_ports[event.dst].flagged) {
+        drain_ports[event.dst].spans.push_back(span);
+      }
+    });
   }
 
   for (std::size_t p = 0; p < n; ++p) {
@@ -189,14 +235,14 @@ AuditReport ScheduleAuditor::audit(const EventTrace& trace) const {
           std::to_string(pending_grant[p]->src) + " at t = " +
           std::to_string(pending_grant[p]->t_s) +
           " but no transfer followed");
-    check_port_overlaps(send_spans[p], "overlapping-send", "send", tol,
+    check_port_overlaps(send_ports[p].spans, "overlapping-send", "send", tol,
                         report.violations);
-    if (options_.serialized_receives)
-      check_port_overlaps(recv_spans[p], "overlapping-receive", "receive",
-                          tol, report.violations);
+    if (serialized)
+      check_port_overlaps(recv_ports[p].spans, "overlapping-receive",
+                          "receive", tol, report.violations);
     // Buffered drains are serial at every receiver, in every model.
-    check_port_overlaps(drain_spans[p], "overlapping-drain", "receive", tol,
-                        report.violations);
+    check_port_overlaps(drain_ports[p].spans, "overlapping-drain", "receive",
+                        tol, report.violations);
   }
   return report;
 }

@@ -59,10 +59,10 @@ void write_chrome_trace(std::ostream& out, const EventTrace& trace) {
         << p << ", \"args\": {\"name\": \"P" << p << "\"}}";
   }
 
-  for (const TraceEvent& event : trace.events()) {
+  trace.for_each([&](const TraceEvent& event) {
     // send-start instants duplicate the matching span's left edge; they
     // exist for the auditor, not for the picture.
-    if (event.kind == TraceEventKind::kSendStart) continue;
+    if (event.kind == TraceEventKind::kSendStart) return;
     separator();
     const std::string_view kind = trace_event_kind_name(event.kind);
     out << "{\"name\": \"" << kind << ' ' << event.src << "->" << event.dst
@@ -77,18 +77,18 @@ void write_chrome_trace(std::ostream& out, const EventTrace& trace) {
         << ", \"args\": {\"src\": " << event.src << ", \"dst\": " << event.dst
         << ", \"bytes\": " << event.bytes
         << ", \"attempt\": " << event.attempt << "}}";
-  }
+  });
   out << "\n]\n}\n";
 }
 
 std::string render_trace_diagram(const EventTrace& trace, std::size_t rows) {
   const std::size_t n = trace.processor_count();
-  const std::vector<TraceEvent> events = trace.events();
   if (rows == 0) rows = 1;
 
   double makespan = 0.0;
-  for (const TraceEvent& event : events)
+  trace.for_each([&](const TraceEvent& event) {
     makespan = std::max(makespan, event.t_end_s);
+  });
 
   // Same geometry as render_timing_diagram in core/schedule.cpp: one
   // column per sender, wide enough for ">dd|".
@@ -96,12 +96,16 @@ std::string render_trace_diagram(const EventTrace& trace, std::size_t rows) {
   std::vector<std::string> grid(rows, std::string(n * label_width, ' '));
 
   std::uint64_t retries = 0, give_ups = 0, checkpoints = 0, drains = 0;
-  for (const TraceEvent& event : events) {
+  // With a zero makespan the first port engagement ends the scan; later
+  // events are not counted in the footer either.
+  bool stopped = false;
+  trace.for_each([&](const TraceEvent& event) {
+    if (stopped) return;
     switch (event.kind) {
-      case TraceEventKind::kRetryScheduled: ++retries; continue;
-      case TraceEventKind::kGiveUp: ++give_ups; continue;
-      case TraceEventKind::kCheckpoint: ++checkpoints; continue;
-      case TraceEventKind::kBufferDrain: ++drains; continue;
+      case TraceEventKind::kRetryScheduled: ++retries; return;
+      case TraceEventKind::kGiveUp: ++give_ups; return;
+      case TraceEventKind::kCheckpoint: ++checkpoints; return;
+      case TraceEventKind::kBufferDrain: ++drains; return;
       default: break;
     }
     // Grid cells mark sender-port engagements: '>' a delivered transfer,
@@ -111,9 +115,12 @@ std::string render_trace_diagram(const EventTrace& trace, std::size_t rows) {
       case TraceEventKind::kSendEnd: mark = '>'; break;
       case TraceEventKind::kRelayHop: mark = '~'; break;
       case TraceEventKind::kAttemptFailed: mark = '!'; break;
-      default: continue;
+      default: return;
     }
-    if (makespan <= 0.0) break;
+    if (makespan <= 0.0) {
+      stopped = true;
+      return;
+    }
     auto row_of = [&](double t) {
       const double fraction = t / makespan;
       return std::min(
@@ -130,7 +137,7 @@ std::string render_trace_diagram(const EventTrace& trace, std::size_t rows) {
       if (cell.size() > label_width - 1) cell.resize(label_width - 1);
       for (std::size_t k = 0; k < cell.size(); ++k) grid[r][col + k] = cell[k];
     }
-  }
+  });
 
   std::ostringstream out;
   out << "time";

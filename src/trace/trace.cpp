@@ -1,6 +1,6 @@
 #include "trace/trace.hpp"
 
-#include <algorithm>
+#include <string>
 
 #include "util/error.hpp"
 
@@ -26,19 +26,11 @@ std::string_view trace_event_kind_name(TraceEventKind kind) {
 
 EventTrace::EventTrace(std::size_t capacity) : capacity_(capacity) {
   if (capacity_ == 0) throw InputError("EventTrace: capacity must be >= 1");
-  ring_.reserve(std::min<std::size_t>(capacity_, 1024));
-}
-
-void EventTrace::record(const TraceEvent& event) {
-  if (ring_.size() < capacity_) {
-    ring_.push_back(event);
-  } else {
-    ring_[head_] = event;
-    head_ = (head_ + 1) % capacity_;
-  }
-  ++recorded_;
-  max_proc_ = std::max({max_proc_, static_cast<std::size_t>(event.src) + 1,
-                        static_cast<std::size_t>(event.dst) + 1});
+  if (capacity_ > ring_.max_size())
+    throw InputError("EventTrace: capacity " + std::to_string(capacity_) +
+                     " exceeds the largest ring a vector can hold (" +
+                     std::to_string(ring_.max_size()) + ")");
+  ring_.reserve(capacity_);
 }
 
 void EventTrace::clear() {
@@ -46,21 +38,6 @@ void EventTrace::clear() {
   head_ = 0;
   recorded_ = 0;
   max_proc_ = 0;
-}
-
-std::size_t EventTrace::size() const noexcept { return ring_.size(); }
-
-std::uint64_t EventTrace::dropped() const noexcept {
-  return recorded_ - ring_.size();
-}
-
-std::vector<TraceEvent> EventTrace::events() const {
-  std::vector<TraceEvent> out;
-  out.reserve(ring_.size());
-  // Once wrapped, head_ points at the oldest entry.
-  for (std::size_t k = 0; k < ring_.size(); ++k)
-    out.push_back(ring_[(head_ + k) % ring_.size()]);
-  return out;
 }
 
 }  // namespace hcs

@@ -15,9 +15,12 @@
 // recording instantiation writes into an EventTrace, a fixed-capacity
 // ring buffer that overwrites its oldest entries rather than allocating
 // unboundedly (long fault sweeps stay O(capacity) in memory; the dropped
-// count says when the window wrapped).
+// count says when the window wrapped). The ring is reserved once at
+// construction and read in place (for_each), so a traced run never copies
+// or regrows its events.
 #pragma once
 
+#include <algorithm>
 #include <concepts>
 #include <cstddef>
 #include <cstdint>
@@ -88,25 +91,46 @@ class EventTrace {
  public:
   static constexpr bool kEnabled = true;
 
-  /// Default capacity holds a P=64 total exchange several times over.
+  /// Reserves the whole ring up front, so recording never reallocates.
+  /// The reservation is virtual until written: pages no event reaches
+  /// cost no resident memory. The default capacity holds a P=64 total
+  /// exchange several times over. Throws InputError when `capacity` is 0
+  /// or exceeds what a vector can hold.
   explicit EventTrace(std::size_t capacity = 1 << 16);
 
-  void record(const TraceEvent& event);
+  void record(const TraceEvent& event) {
+    if (ring_.size() < capacity_) {
+      ring_.push_back(event);  // within the reservation: no reallocation
+    } else {
+      ring_[head_] = event;
+      if (++head_ == capacity_) head_ = 0;
+    }
+    ++recorded_;
+    max_proc_ = std::max({max_proc_, static_cast<std::size_t>(event.src) + 1,
+                          static_cast<std::size_t>(event.dst) + 1});
+  }
 
   /// Forgets all events (capacity is kept).
   void clear();
 
   /// Events currently retained (<= capacity()).
-  [[nodiscard]] std::size_t size() const noexcept;
+  [[nodiscard]] std::size_t size() const noexcept { return ring_.size(); }
   [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
   /// Total events ever recorded, including overwritten ones.
   [[nodiscard]] std::uint64_t recorded() const noexcept { return recorded_; }
   /// Events lost to ring wrap-around (recorded() - size()).
-  [[nodiscard]] std::uint64_t dropped() const noexcept;
+  [[nodiscard]] std::uint64_t dropped() const noexcept {
+    return recorded_ - ring_.size();
+  }
 
-  /// Retained events, oldest first. Materializes a copy; exporters and
-  /// the auditor consume this.
-  [[nodiscard]] std::vector<TraceEvent> events() const;
+  /// Calls `visit(const TraceEvent&)` on every retained event in place,
+  /// oldest first. Exporters and the auditor read the trace this way.
+  template <class F>
+  void for_each(F&& visit) const {
+    // Once wrapped, head_ points at the oldest entry; before that it is 0.
+    for (std::size_t k = head_; k < ring_.size(); ++k) visit(ring_[k]);
+    for (std::size_t k = 0; k < head_; ++k) visit(ring_[k]);
+  }
 
   /// Smallest processor count covering every recorded src/dst (0 for an
   /// empty trace). Exporters use it to size diagrams.

@@ -823,8 +823,9 @@ TEST(Resilient, ReplanRescuesCrashRestartTraffic) {
   // Replan rounds are visible in the trace, and the committed history
   // still replays cleanly through the auditor.
   std::size_t replan_events = 0;
-  for (const TraceEvent& event : trace.events())
+  trace.for_each([&](const TraceEvent& event) {
     if (event.kind == TraceEventKind::kReplan) ++replan_events;
+  });
   EXPECT_EQ(replan_events, b.replan_count);
   EXPECT_EQ(trace.dropped(), 0u);
   const AuditReport report = ScheduleAuditor{}.audit(trace);

@@ -6,15 +6,25 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <cstdint>
+#include <limits>
+#include <optional>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "netmodel/directory.hpp"
+#include "netmodel/generator.hpp"
+#include "sim/simulator.hpp"
 #include "trace/auditor.hpp"
 #include "trace/export.hpp"
 #include "trace/metrics.hpp"
 #include "trace/trace.hpp"
 #include "util/error.hpp"
+#include "util/rng.hpp"
+#include "workload/generators.hpp"
 
 namespace hcs {
 namespace {
@@ -30,6 +40,13 @@ void add_transfer(EventTrace& trace, std::uint32_t src, std::uint32_t dst,
                   double t_s, double t_end_s) {
   trace.record(make_event(TraceEventKind::kSendStart, src, dst, t_s, t_s));
   trace.record(make_event(TraceEventKind::kSendEnd, src, dst, t_s, t_end_s));
+}
+
+/// The retained events, oldest first, as a vector.
+std::vector<TraceEvent> collect(const EventTrace& trace) {
+  std::vector<TraceEvent> events;
+  trace.for_each([&](const TraceEvent& event) { events.push_back(event); });
+  return events;
 }
 
 /// Expects the report to contain at least one violation and that every
@@ -56,7 +73,7 @@ TEST(EventTrace, RecordsInOrderAndClears) {
   EXPECT_EQ(trace.dropped(), 0u);
   EXPECT_EQ(trace.processor_count(), 3u);
 
-  const std::vector<TraceEvent> events = trace.events();
+  const std::vector<TraceEvent> events = collect(trace);
   ASSERT_EQ(events.size(), 4u);
   EXPECT_EQ(events[0].kind, TraceEventKind::kSendStart);
   EXPECT_EQ(events[1].kind, TraceEventKind::kSendEnd);
@@ -65,7 +82,7 @@ TEST(EventTrace, RecordsInOrderAndClears) {
   trace.clear();
   EXPECT_EQ(trace.size(), 0u);
   EXPECT_EQ(trace.recorded(), 0u);
-  EXPECT_EQ(trace.events().size(), 0u);
+  EXPECT_EQ(collect(trace).size(), 0u);
   EXPECT_EQ(trace.capacity(), 8u);
 }
 
@@ -79,10 +96,40 @@ TEST(EventTrace, RingOverwritesOldestAndCountsDropped) {
   EXPECT_EQ(trace.dropped(), 6u);
 
   // The survivors are the newest four, oldest first.
-  const std::vector<TraceEvent> events = trace.events();
+  const std::vector<TraceEvent> events = collect(trace);
   ASSERT_EQ(events.size(), 4u);
   for (std::size_t k = 0; k < 4; ++k)
     EXPECT_EQ(events[k].src, 6u + k);
+}
+
+TEST(EventTrace, ForEachVisitsOldestFirstAcrossWrapAround) {
+  for (const std::size_t capacity : {1u, 2u, 3u, 5u, 8u}) {
+    for (std::size_t count = 0; count <= 3 * capacity + 1; ++count) {
+      EventTrace trace{capacity};
+      for (std::uint32_t k = 0; k < count; ++k)
+        trace.record(make_event(TraceEventKind::kCheckpoint, k, 0,
+                                static_cast<double>(k),
+                                static_cast<double>(k)));
+      const std::size_t kept = std::min(count, capacity);
+      ASSERT_EQ(trace.size(), kept);
+      EXPECT_EQ(trace.dropped(), count - kept);
+      const std::vector<TraceEvent> events = collect(trace);
+      ASSERT_EQ(events.size(), kept) << capacity << "/" << count;
+      for (std::size_t k = 0; k < kept; ++k)
+        EXPECT_EQ(events[k].src, count - kept + k)
+            << "capacity " << capacity << ", " << count << " recorded";
+    }
+  }
+}
+
+TEST(EventTrace, CapacityIsValidatedAtConstruction) {
+  EXPECT_THROW(EventTrace{0}, InputError);
+  EXPECT_THROW(EventTrace{std::numeric_limits<std::size_t>::max()},
+               InputError);
+  // One past the largest vector, where reserve alone would throw
+  // std::length_error.
+  EXPECT_THROW(EventTrace{std::vector<TraceEvent>{}.max_size() + 1},
+               InputError);
 }
 
 // ---------------------------------------------------------------------------
@@ -231,6 +278,359 @@ TEST(ScheduleAuditor, ToleranceForgivesSmallSlips) {
   AuditOptions slack;
   slack.tolerance = 1e-6;
   EXPECT_TRUE(ScheduleAuditor{slack}.audit(trace).ok());
+}
+
+// ---------------------------------------------------------------------------
+// ScheduleAuditor: the streaming port check against the sort-based one
+// ---------------------------------------------------------------------------
+
+/// The auditor as it was before its port check streamed: every span of
+/// every port collected, sorted and scanned. Kept verbatim as the
+/// reference the streaming audit must reproduce exactly.
+namespace reference {
+
+struct Span {
+  double start = 0.0;
+  double end = 0.0;
+  std::size_t src = 0;
+  std::size_t dst = 0;
+};
+
+std::string format_span(const Span& span) {
+  std::ostringstream out;
+  out << span.src << "->" << span.dst << " [" << span.start << ", "
+      << span.end << ")";
+  return out.str();
+}
+
+bool occupies_ports(TraceEventKind kind) {
+  switch (kind) {
+    case TraceEventKind::kSendEnd:
+    case TraceEventKind::kAttemptFailed:
+    case TraceEventKind::kRelayHop:
+      return true;
+    default:
+      return false;
+  }
+}
+
+void check_port_overlaps(std::vector<Span>& spans, const char* tag,
+                         const char* port, double tolerance,
+                         std::vector<std::string>& violations) {
+  std::sort(spans.begin(), spans.end(), [](const Span& a, const Span& b) {
+    return a.start < b.start || (a.start == b.start && a.end < b.end);
+  });
+  const Span* previous = nullptr;
+  for (const Span& span : spans) {
+    if (span.end - span.start <= tolerance) continue;  // zero-duration
+    if (previous != nullptr && span.start < previous->end - tolerance) {
+      const std::size_t node = port[0] == 's' ? span.src : span.dst;
+      violations.push_back(std::string(tag) + ": node " +
+                           std::to_string(node) + "'s " + port +
+                           " port runs " + format_span(*previous) + " and " +
+                           format_span(span) + " simultaneously");
+    }
+    previous = &span;
+  }
+}
+
+AuditReport audit(const EventTrace& trace, const AuditOptions& options) {
+  AuditReport report;
+  const double tol = options.tolerance;
+
+  if (trace.dropped() > 0)
+    report.violations.push_back(
+        "incomplete-trace: ring buffer dropped " +
+        std::to_string(trace.dropped()) +
+        " events; the audit window does not cover the run");
+
+  const std::vector<TraceEvent> events = collect(trace);
+  const std::size_t n = trace.processor_count();
+
+  std::vector<std::optional<TraceEvent>> outstanding(n);
+  std::vector<std::optional<TraceEvent>> pending_grant(n);
+  std::vector<std::vector<Span>> send_spans(n);
+  std::vector<std::vector<Span>> recv_spans(n);
+  std::vector<std::vector<Span>> drain_spans(n);
+
+  for (const TraceEvent& event : events) {
+    const bool is_span = occupies_ports(event.kind) ||
+                         event.kind == TraceEventKind::kBufferDrain;
+    if (event.t_s < -tol)
+      report.violations.push_back(
+          "negative-time: " + std::string(trace_event_kind_name(event.kind)) +
+          " " + std::to_string(event.src) + "->" + std::to_string(event.dst) +
+          " at t = " + std::to_string(event.t_s) + " precedes time zero");
+    if (is_span && event.t_end_s < event.t_s - tol)
+      report.violations.push_back(
+          "time-travel: " + std::string(trace_event_kind_name(event.kind)) +
+          " " + std::to_string(event.src) + "->" + std::to_string(event.dst) +
+          " ends at " + std::to_string(event.t_end_s) +
+          ", before it starts at " + std::to_string(event.t_s));
+
+    switch (event.kind) {
+      case TraceEventKind::kSendStart: {
+        if (outstanding[event.src].has_value())
+          report.violations.push_back(
+              "concurrent-send-start: node " + std::to_string(event.src) +
+              " starts a send to " + std::to_string(event.dst) + " at t = " +
+              std::to_string(event.t_s) + " while its send to " +
+              std::to_string(outstanding[event.src]->dst) +
+              " is still unresolved");
+        outstanding[event.src] = event;
+        break;
+      }
+      case TraceEventKind::kSendEnd:
+      case TraceEventKind::kAttemptFailed:
+      case TraceEventKind::kRelayHop: {
+        const std::optional<TraceEvent>& start = outstanding[event.src];
+        if (!start.has_value() || start->dst != event.dst ||
+            std::abs(start->t_s - event.t_s) > tol) {
+          report.violations.push_back(
+              "completion-before-start: " +
+              std::string(trace_event_kind_name(event.kind)) + " " +
+              std::to_string(event.src) + "->" + std::to_string(event.dst) +
+              " at t = " + std::to_string(event.t_s) +
+              " has no matching send-start");
+        } else {
+          outstanding[event.src].reset();
+        }
+        break;
+      }
+      case TraceEventKind::kReceiveGrant: {
+        pending_grant[event.dst] = event;
+        break;
+      }
+      default:
+        break;
+    }
+
+    if (occupies_ports(event.kind) && pending_grant[event.dst].has_value()) {
+      const TraceEvent& grant = *pending_grant[event.dst];
+      if (grant.src != event.src || std::abs(grant.t_s - event.t_s) > tol)
+        report.violations.push_back(
+            "unhonoured-grant: node " + std::to_string(grant.dst) +
+            " granted its receive port to " + std::to_string(grant.src) +
+            " at t = " + std::to_string(grant.t_s) +
+            " but the next engagement is " + std::to_string(event.src) +
+            "->" + std::to_string(event.dst) + " at t = " +
+            std::to_string(event.t_s));
+      pending_grant[event.dst].reset();
+    }
+
+    if (occupies_ports(event.kind)) {
+      send_spans[event.src].push_back(
+          {event.t_s, event.t_end_s, event.src, event.dst});
+      recv_spans[event.dst].push_back(
+          {event.t_s, event.t_end_s, event.src, event.dst});
+    } else if (event.kind == TraceEventKind::kBufferDrain) {
+      drain_spans[event.dst].push_back(
+          {event.t_s, event.t_end_s, event.src, event.dst});
+    }
+
+    if (event.kind == TraceEventKind::kSendEnd ||
+        event.kind == TraceEventKind::kRelayHop) {
+      ++report.transfers;
+      report.completion_s = std::max(report.completion_s, event.t_end_s);
+    }
+    if (event.kind == TraceEventKind::kBufferDrain)
+      report.completion_s = std::max(report.completion_s, event.t_end_s);
+  }
+
+  for (std::size_t p = 0; p < n; ++p) {
+    if (outstanding[p].has_value())
+      report.violations.push_back(
+          "dangling-send-start: node " + std::to_string(p) + "'s send to " +
+          std::to_string(outstanding[p]->dst) + " at t = " +
+          std::to_string(outstanding[p]->t_s) + " never resolves");
+    if (pending_grant[p].has_value())
+      report.violations.push_back(
+          "unhonoured-grant: node " + std::to_string(p) +
+          " granted its receive port to " +
+          std::to_string(pending_grant[p]->src) + " at t = " +
+          std::to_string(pending_grant[p]->t_s) +
+          " but no transfer followed");
+    check_port_overlaps(send_spans[p], "overlapping-send", "send", tol,
+                        report.violations);
+    if (options.serialized_receives)
+      check_port_overlaps(recv_spans[p], "overlapping-receive", "receive",
+                          tol, report.violations);
+    check_port_overlaps(drain_spans[p], "overlapping-drain", "receive", tol,
+                        report.violations);
+  }
+  return report;
+}
+
+}  // namespace reference
+
+/// Asserts the streaming audit and the sort-based reference agree on
+/// everything they report, violation text and order included.
+void expect_same_audit(const EventTrace& trace, const AuditOptions& options,
+                       const std::string& label) {
+  const AuditReport got = ScheduleAuditor{options}.audit(trace);
+  const AuditReport want = reference::audit(trace, options);
+  EXPECT_EQ(got.violations, want.violations) << label;
+  EXPECT_EQ(got.transfers, want.transfers) << label;
+  EXPECT_EQ(got.completion_s, want.completion_s) << label;
+}
+
+/// A seeded random trace mixing what a simulator emits with what it must
+/// never emit: transfers on quarter-second ticks (so back-to-back spans
+/// and exact (start, end) ties are common), failed attempts and relay
+/// hops, receive grants, buffer drains, zero-duration and time-travelling
+/// spans, injected overlaps, and transfer groups swapped out of emission
+/// order. Some traces are recorded into a ring too small to hold them.
+struct RandomTrace {
+  std::vector<TraceEvent> events;
+  std::size_t capacity = 1;
+  AuditOptions options;
+};
+
+RandomTrace random_trace(std::uint64_t seed) {
+  Rng rng{seed};
+  RandomTrace out;
+  const auto n = static_cast<std::uint32_t>(2 + rng.next_below(7));
+  const std::size_t transfers = rng.next_below(48);
+  // Half the traces are overlap-free by construction; out-of-order
+  // emission and ties are drawn independently of that.
+  const double overlap_p = rng.bernoulli(0.5) ? 0.0 : 0.15;
+  const double swap_p = rng.bernoulli(0.5) ? 0.0 : 0.2;
+  const double tie_p = rng.bernoulli(0.5) ? 0.0 : 0.1;
+  const auto ticks = [&](std::uint64_t bound) {
+    return 0.25 * static_cast<double>(rng.next_below(bound));
+  };
+
+  std::vector<double> send_free(n, 0.0), recv_free(n, 0.0);
+  std::vector<double> drain_free(n, 0.0);
+  std::vector<std::vector<TraceEvent>> groups;
+  for (std::size_t k = 0; k < transfers; ++k) {
+    const auto src = static_cast<std::uint32_t>(rng.next_below(n));
+    const auto dst =
+        static_cast<std::uint32_t>((src + 1 + rng.next_below(n - 1)) % n);
+    double start = std::max(send_free[src], recv_free[dst]) + ticks(3);
+    if (rng.bernoulli(overlap_p))
+      start = std::max(0.0, start - 0.25 - ticks(4));
+    double end = start + (rng.bernoulli(0.15) ? 0.0 : 0.25 + ticks(8));
+    if (rng.bernoulli(0.03)) end = start - 0.25;  // time travel
+    const std::uint64_t pick = rng.next_below(10);
+    const TraceEventKind kind = pick < 7   ? TraceEventKind::kSendEnd
+                                : pick < 9 ? TraceEventKind::kAttemptFailed
+                                           : TraceEventKind::kRelayHop;
+    std::vector<TraceEvent> group;
+    if (rng.bernoulli(0.1))
+      group.push_back(make_event(TraceEventKind::kReceiveGrant,
+                                 rng.bernoulli(0.8) ? src : (src + 1) % n,
+                                 dst, start, start));
+    group.push_back(
+        make_event(TraceEventKind::kSendStart, src, dst, start, start));
+    group.push_back(make_event(kind, src, dst, start, end));
+    if (rng.bernoulli(tie_p)) {
+      // An equal-key twin on one of the two ports: same times, other peer.
+      const auto peer = static_cast<std::uint32_t>(rng.next_below(n));
+      const bool on_send = rng.bernoulli(0.5);
+      const std::uint32_t s = on_send ? src : peer;
+      const std::uint32_t d = on_send ? peer : dst;
+      if (s != d) {
+        group.push_back(
+            make_event(TraceEventKind::kSendStart, s, d, start, start));
+        group.push_back(
+            make_event(TraceEventKind::kSendEnd, s, d, start, end));
+      }
+    }
+    if (rng.bernoulli(0.2)) {
+      double drain = std::max(drain_free[dst], end) + ticks(2);
+      if (rng.bernoulli(overlap_p)) drain = std::max(0.0, drain - 0.5);
+      const double drain_end = drain + (rng.bernoulli(0.2) ? 0.0 : ticks(6));
+      group.push_back(make_event(TraceEventKind::kBufferDrain, src, dst, drain,
+                                 drain_end));
+      drain_free[dst] = std::max(drain_free[dst], drain_end);
+    }
+    if (rng.bernoulli(0.05))
+      group.push_back(make_event(rng.bernoulli(0.5)
+                                     ? TraceEventKind::kRetryScheduled
+                                     : TraceEventKind::kCheckpoint,
+                                 src, dst, end, end));
+    send_free[src] = std::max(send_free[src], end);
+    recv_free[dst] = std::max(recv_free[dst], end);
+    groups.push_back(std::move(group));
+  }
+  for (std::size_t k = 0; k + 1 < groups.size(); ++k)
+    if (rng.bernoulli(swap_p)) std::swap(groups[k], groups[k + 1]);
+  for (const std::vector<TraceEvent>& group : groups)
+    out.events.insert(out.events.end(), group.begin(), group.end());
+
+  // A third of the rings are too small and wrap, some back to head 0.
+  out.capacity = out.events.size() + 1 + rng.next_below(4);
+  if (!out.events.empty() && rng.bernoulli(0.33))
+    out.capacity = 1 + rng.next_below(out.events.size());
+  out.options.serialized_receives = rng.bernoulli(0.7);
+  const std::uint64_t tol = rng.next_below(4);
+  out.options.tolerance = tol == 0 ? 0.0 : tol == 1 ? 1e-9 : 0.25;
+  return out;
+}
+
+TEST(ScheduleAuditor, StreamingPortCheckMatchesSortedReference) {
+  std::size_t overlapping = 0, clean = 0, wrapped = 0, wrapped_at_zero = 0,
+              relaxed = 0;
+  for (std::uint64_t seed = 1; seed <= 4000; ++seed) {
+    const RandomTrace random = random_trace(seed);
+    EventTrace trace{random.capacity};
+    for (const TraceEvent& event : random.events) trace.record(event);
+    expect_same_audit(trace, random.options, "seed " + std::to_string(seed));
+
+    const AuditReport report = ScheduleAuditor{random.options}.audit(trace);
+    const bool overlaps =
+        std::any_of(report.violations.begin(), report.violations.end(),
+                    [](const std::string& v) {
+                      return v.rfind("overlapping-", 0) == 0;
+                    });
+    overlapping += overlaps ? 1 : 0;
+    clean += report.ok() ? 1 : 0;
+    if (trace.dropped() > 0) {
+      ++wrapped;
+      // The oldest retained event sits at slot dropped % capacity.
+      if (trace.dropped() % trace.capacity() == 0) ++wrapped_at_zero;
+    }
+    relaxed += random.options.serialized_receives ? 0 : 1;
+  }
+  // The corpus reaches both sides of the stream's proof and every ring
+  // shape.
+  EXPECT_GT(overlapping, 400u);
+  EXPECT_GT(clean, 400u);
+  EXPECT_GT(wrapped, 400u);
+  EXPECT_GT(wrapped_at_zero, 20u);
+  EXPECT_GT(relaxed, 400u);
+}
+
+TEST(ScheduleAuditor, StreamingPortCheckMatchesReferenceOnSimulatorTraces) {
+  // Real simulator traces: serialized runs prove every port clean in one
+  // pass; interleaved receives overlap, so auditing them under the
+  // serialized rule exercises the fallback on whole ports.
+  const std::size_t n = 12;
+  const StaticDirectory directory{generate_network(n, 5)};
+  const MessageMatrix messages = mixed_messages(n, 5, {kKiB, kMiB});
+  std::vector<std::vector<std::size_t>> orders(n);
+  for (std::size_t src = 0; src < n; ++src)
+    for (std::size_t k = 1; k < n; ++k) orders[src].push_back((src + k) % n);
+  const SendProgram program{std::move(orders)};
+  const NetworkSimulator simulator{directory, messages};
+  for (const ReceiveModel model :
+       {ReceiveModel::kSerialized, ReceiveModel::kInterleaved,
+        ReceiveModel::kBuffered}) {
+    SimOptions options;
+    options.model = model;
+    EventTrace trace;
+    const SimResult result = simulator.run_traced(program, options, trace);
+    for (const bool serialized : {true, false}) {
+      AuditOptions audit_options;
+      audit_options.serialized_receives = serialized;
+      expect_same_audit(trace, audit_options,
+                        "model " + std::to_string(static_cast<int>(model)));
+    }
+    if (model == ReceiveModel::kSerialized) {
+      EXPECT_TRUE(ScheduleAuditor{}.audit(trace, result.completion_time).ok());
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -623,13 +623,13 @@ void trace_metrics(const EventTrace& trace, double completion_s,
   metrics.gauge("trace.completion_s").set_max(completion_s);
   metrics.gauge("trace.processors")
       .set_max(static_cast<double>(trace.processor_count()));
-  for (const TraceEvent& event : trace.events()) {
+  trace.for_each([&](const TraceEvent& event) {
     const std::string kind(trace_event_kind_name(event.kind));
     metrics.counter("trace.events." + kind).add();
     if (event.t_end_s > event.t_s)
       metrics.histogram("trace.span_s." + kind)
           .observe(event.t_end_s - event.t_s);
-  }
+  });
 }
 
 int cmd_trace(const Options& options, std::ostream& out, std::ostream& err) {
@@ -688,7 +688,8 @@ int cmd_trace(const Options& options, std::ostream& out, std::ostream& err) {
 
   // A total exchange records ~4 trace events per ordered pair (issue,
   // start, finish, delivery); size the ring so wide-P audits see every
-  // event instead of the default ring's most recent 64k.
+  // event instead of the default ring's most recent 64k. The reservation
+  // is virtual until written.
   EventTrace trace{std::max<std::size_t>(std::size_t{1} << 16, 4 * n * n)};
   double completion = 0.0;
   const bool faulty = crashes > 0 || cut_count > 0 || loss > 0.0 ||
