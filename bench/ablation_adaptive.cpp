@@ -16,6 +16,7 @@
 #include "adaptive/incremental.hpp"
 #include "core/matching_scheduler.hpp"
 #include "core/openshop_scheduler.hpp"
+#include "fault/resilient.hpp"
 #include "netmodel/generator.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
@@ -32,10 +33,11 @@ double policy_mean(const Scheduler& scheduler,
                    const DirectoryService& directory,
                    const MessageMatrix& messages, CheckpointPolicy policy,
                    double threshold) {
-  AdaptiveOptions options;
-  options.policy = policy;
-  options.reschedule_threshold = threshold;
-  return run_adaptive(scheduler, directory, messages, options).completion_time;
+  ResilientOptions options;
+  options.adaptive.policy = policy;
+  options.adaptive.reschedule_threshold = threshold;
+  return run_resilient(scheduler, directory, messages, {}, options)
+      .completion_time;
 }
 
 }  // namespace

@@ -1,15 +1,13 @@
 // Fault-path overhead benchmarks (google-benchmark).
 //
-// The resilient executor (src/fault) promises that fault tolerance is
-// pay-as-you-go: with an empty FaultPlan its per-exchange cost must stay
-// within noise of run_adaptive (BM_AdaptiveBaseline vs
-// BM_ResilientHealthy — the acceptance bar is < 5% on the healthy path),
-// while actual faults pay for watchdog timeouts, retries and relay
-// routing (BM_ResilientCrashAndCut). Tracked in BENCH_scheduler.json via
+// The resilient executor (src/fault) is the only checkpoint executor, so
+// fault tolerance must be pay-as-you-go: with an empty FaultPlan
+// (BM_ResilientHealthy) it runs the plain checkpointed exchange and skips
+// the fault hook and planning overlays, while actual faults pay for
+// watchdog timeouts, retries and relay routing (BM_ResilientCrashAndCut). Tracked in BENCH_scheduler.json via
 // the bench_json target.
 #include <benchmark/benchmark.h>
 
-#include "adaptive/checkpoint.hpp"
 #include "core/openshop_scheduler.hpp"
 #include "fault/resilient.hpp"
 #include "netmodel/generator.hpp"
@@ -18,20 +16,6 @@
 namespace {
 
 constexpr std::uint64_t kSeed = 42;
-
-void BM_AdaptiveBaseline(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const hcs::StaticDirectory directory{hcs::generate_network(n, kSeed)};
-  const hcs::MessageMatrix messages = hcs::uniform_messages(n, hcs::kMiB);
-  const hcs::OpenShopScheduler scheduler;
-  hcs::AdaptiveOptions options;
-  options.policy = hcs::CheckpointPolicy::kHalveRemaining;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        hcs::run_adaptive(scheduler, directory, messages, options));
-  }
-  state.SetComplexityN(state.range(0));
-}
 
 void BM_ResilientHealthy(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
@@ -67,7 +51,6 @@ void BM_ResilientCrashAndCut(benchmark::State& state) {
 
 }  // namespace
 
-BENCHMARK(BM_AdaptiveBaseline)->RangeMultiplier(2)->Range(8, 32)->Complexity();
 BENCHMARK(BM_ResilientHealthy)->RangeMultiplier(2)->Range(8, 32)->Complexity();
 BENCHMARK(BM_ResilientCrashAndCut)
     ->RangeMultiplier(2)

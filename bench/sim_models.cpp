@@ -8,7 +8,7 @@
 // the Complexity() fits make the asymptotic gap visible). BM_AdaptiveRound
 // times the unit the executors loop over: one round's simulation through
 // a warm workspace, ports carried in. The BM_RefSim* twins run the
-// retained naive implementation (sim/reference_simulator.hpp) so
+// retained naive implementation (oracles/reference_simulator.hpp) so
 // BENCH_scheduler.json records before/after numbers side by side; both
 // sides are golden-trace verified bit-identical (tests/sim_golden_test).
 // BM_TraceAudit times the traced tail of a scenario run at wide P: a
@@ -25,7 +25,7 @@
 #include "netmodel/cluster_detect.hpp"
 #include "netmodel/directory.hpp"
 #include "netmodel/generator.hpp"
-#include "sim/reference_simulator.hpp"
+#include "oracles/reference_simulator.hpp"
 #include "sim/simulator.hpp"
 #include "trace/auditor.hpp"
 #include "workload/generators.hpp"
@@ -144,7 +144,7 @@ void BM_RefSimBuffered(benchmark::State& state) {
 
 /// One adaptive-executor round: simulate the remaining exchange with
 /// carried-in port availability through a warm workspace — the unit
-/// run_adaptive / run_resilient execute once per checkpoint.
+/// run_resilient executes once per checkpoint.
 void BM_AdaptiveRound(benchmark::State& state) {
   const Fixture fx{static_cast<std::size_t>(state.range(0))};
   const hcs::NetworkSimulator simulator{fx.directory, fx.messages};

@@ -8,8 +8,8 @@
 // mild.
 #include <iostream>
 
-#include "adaptive/checkpoint.hpp"
 #include "core/openshop_scheduler.hpp"
+#include "fault/resilient.hpp"
 #include "netmodel/generator.hpp"
 #include "util/table.hpp"
 #include "workload/generators.hpp"
@@ -40,20 +40,20 @@ int main() {
     for (const CheckpointPolicy policy :
          {CheckpointPolicy::kNever, CheckpointPolicy::kHalveRemaining,
           CheckpointPolicy::kEveryEvent}) {
-      AdaptiveOptions options;
-      options.policy = policy;
-      const AdaptiveResult result =
-          run_adaptive(scheduler, directory, messages, options);
+      ResilientOptions options;
+      options.adaptive.policy = policy;
+      const ResilientResult result =
+          run_resilient(scheduler, directory, messages, {}, options);
       table.add_row({std::string(checkpoint_policy_name(policy)),
                      format_double(result.completion_time, 2),
                      std::to_string(result.reschedule_count)});
     }
     // With a 20% deviation threshold, mild drift triggers no reschedules.
-    AdaptiveOptions thresholded;
-    thresholded.policy = CheckpointPolicy::kHalveRemaining;
-    thresholded.reschedule_threshold = 0.20;
-    const AdaptiveResult result =
-        run_adaptive(scheduler, directory, messages, thresholded);
+    ResilientOptions thresholded;
+    thresholded.adaptive.policy = CheckpointPolicy::kHalveRemaining;
+    thresholded.adaptive.reschedule_threshold = 0.20;
+    const ResilientResult result =
+        run_resilient(scheduler, directory, messages, {}, thresholded);
     table.add_row({"halve + 20% threshold",
                    format_double(result.completion_time, 2),
                    std::to_string(result.reschedule_count)});

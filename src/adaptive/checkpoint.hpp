@@ -1,4 +1,4 @@
-// Checkpoint-based adaptive execution (§6.3).
+// Checkpoint policy for adaptive execution (§6.3).
 //
 // When the network drifts faster than a schedule executes, the initial
 // schedule — computed from directory estimates — goes stale mid-flight.
@@ -8,20 +8,15 @@
 // each event (O(P) checkpoints per processor) or after half the remaining
 // events (O(log P) checkpoints).
 //
-// The AdaptiveExecutor implements that loop: schedule from the current
-// directory snapshot, execute under the simulator until the checkpoint,
-// commit the events that ran (including in-flight ones), and reschedule
-// the remaining pairs from a fresh snapshot.
+// The executor is run_resilient (fault/resilient.hpp): schedule from the
+// current directory snapshot, execute under the simulator until the
+// checkpoint, commit the events that ran (including in-flight ones), and
+// reschedule the remaining pairs from a fresh snapshot. With an empty
+// FaultPlan that loop is exactly the paper's checkpointed exchange; these
+// options choose where its checkpoints fall.
 #pragma once
 
-#include <cstddef>
-#include <cstdint>
-#include <vector>
-
-#include "core/scheduler.hpp"
-#include "netmodel/directory.hpp"
-#include "sim/simulator.hpp"
-#include "workload/generators.hpp"
+#include <string_view>
 
 namespace hcs {
 
@@ -35,17 +30,7 @@ enum class CheckpointPolicy {
 /// Human-readable policy name.
 [[nodiscard]] std::string_view checkpoint_policy_name(CheckpointPolicy policy);
 
-/// Outcome of an adaptive run.
-struct AdaptiveResult {
-  /// All executed events with their actual (simulated) times.
-  std::vector<ScheduledEvent> events;
-  /// Time the exchange finished.
-  double completion_time = 0.0;
-  /// Number of rescheduling rounds performed (0 for kNever).
-  std::size_t reschedule_count = 0;
-};
-
-/// Options for the adaptive executor.
+/// Checkpoint options of the adaptive executor.
 struct AdaptiveOptions {
   CheckpointPolicy policy = CheckpointPolicy::kHalveRemaining;
   /// Reschedule only if the executed prefix deviated from its estimate by
@@ -54,28 +39,8 @@ struct AdaptiveOptions {
   double reschedule_threshold = 0.0;
 
   /// Throws InputError on malformed values (negative or non-finite
-  /// threshold). Called by run_adaptive and run_resilient.
+  /// threshold). Called by run_resilient.
   void validate() const;
 };
-
-/// Runs one total exchange adaptively: (re)schedules with `scheduler`
-/// from directory snapshots and executes between checkpoints with the
-/// serialized-receive simulator.
-[[nodiscard]] AdaptiveResult run_adaptive(const Scheduler& scheduler,
-                                          const DirectoryService& directory,
-                                          const MessageMatrix& messages,
-                                          const AdaptiveOptions& options = {});
-
-/// Traced variant: identical result, and appends to `trace` what the
-/// adaptive run actually did — a send-start/send pair for every committed
-/// event (attempt carries the 1-based round that committed it), plus a
-/// checkpoint/reschedule instant pair at every cut. Events executed
-/// beyond a checkpoint and then re-planned are NOT traced: the trace is
-/// the committed history, which is what the ScheduleAuditor can hold to
-/// the model invariants.
-[[nodiscard]] AdaptiveResult run_adaptive_traced(
-    const Scheduler& scheduler, const DirectoryService& directory,
-    const MessageMatrix& messages, const AdaptiveOptions& options,
-    EventTrace& trace);
 
 }  // namespace hcs

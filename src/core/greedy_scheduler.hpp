@@ -14,7 +14,7 @@
 // shrunk): scans skip already-sent destinations in O(1) per word instead
 // of rescanning ranked lists, and a warmed call allocates nothing beyond
 // the returned schedule. Output is bit-identical to the textbook loop
-// kept in core/reference_schedulers.hpp.
+// kept in oracles/reference_schedulers.hpp.
 #pragma once
 
 #include "core/scheduler.hpp"

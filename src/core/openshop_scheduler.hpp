@@ -17,7 +17,7 @@
 // single compare. Elsewhere a scalar bit-walk computes the same argmins.
 // Either way the loop does no steady-state allocation and its output is
 // bit-identical to the textbook O(P^3) loop kept in
-// core/reference_schedulers.hpp.
+// oracles/reference_schedulers.hpp.
 //
 // Theorem 3: the resulting completion time is within twice the lower
 // bound — the idle time of the last-finishing sender is covered by its

@@ -1,8 +1,8 @@
 // Reusable scheduler workspace.
 //
 // Schedule construction is a hot path just like schedule execution: every
-// checkpoint round of run_adaptive / run_resilient and every repetition
-// of the experiment sweeps re-runs a scheduler, and §6.2's economics only
+// checkpoint round of run_resilient and every repetition of the
+// experiment sweeps re-runs a scheduler, and §6.2's economics only
 // work if computing a schedule stays cheap next to the exchange it saves.
 // A SchedulerWorkspace owns all the scratch the greedy and open-shop
 // schedulers (and the step executor behind the baseline and random

@@ -1,27 +1,33 @@
 #include "experiment/fault_sweep.hpp"
 
-#include <memory>
-
-#include "core/hierarchical_scheduler.hpp"
-#include "netmodel/cluster_detect.hpp"
+#include "fault/resilient.hpp"
+#include "netmodel/directory.hpp"
+#include "scenario/resolve.hpp"
 #include "util/error.hpp"
-#include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
 namespace hcs {
 namespace {
 
-/// The plain algorithm, or — when hierarchical — that algorithm running
-/// inside the hierarchical scheduler over the network's detected
-/// clustering.
-std::unique_ptr<Scheduler> make_row_scheduler(const FaultSweepConfig& config,
-                                              const NetworkModel& network) {
-  if (!config.hierarchical) return make_scheduler(config.kind, config.seed);
-  HierarchicalScheduler::Options options;
-  options.inner = config.kind;
-  options.seed = config.seed;
-  return std::make_unique<HierarchicalScheduler>(detect_clusters(network),
-                                                 options);
+/// The sweep as a scenario spec with `crashes` crash-stopped nodes: the
+/// cut pairs, loss and dynamic faults are the same in every row, so rows
+/// differ only in how many nodes crash.
+scenario::ScenarioSpec row_spec(const FaultSweepConfig& config,
+                                std::size_t crashes) {
+  scenario::ScenarioSpec spec = scenario::instance_spec(
+      config.scenario, config.processors, config.seed, config.cluster_count);
+  spec.algorithm = config.kind;
+  spec.hierarchical = config.hierarchical;
+  spec.has_faults = true;
+  spec.crashes = crashes;
+  spec.cuts = config.cut_count;
+  spec.loss = config.loss;
+  spec.restarts = config.restart_count;
+  spec.flaps = config.flap_count;
+  spec.brownouts = config.brownout_count;
+  spec.brownout_factor = config.brownout_factor;
+  spec.replan = config.replan;
+  return spec;
 }
 
 }  // namespace
@@ -42,93 +48,27 @@ void validate_fault_sweep_config(const FaultSweepConfig& config) {
     throw InputError("fault-sweep: --brownout-factor must be in (0, 1]");
 }
 
-void add_dynamic_faults(FaultPlan& plan, std::size_t n, std::uint64_t seed,
-                        double horizon_s, long restart_count, long flap_count,
-                        long brownout_count, double brownout_factor) {
-  for (long k = 0; k < restart_count; ++k) {
-    const double at = (0.05 + 0.1 * static_cast<double>(k)) * horizon_s;
-    plan.restarts.push_back(
-        {static_cast<std::size_t>(k), at, at + 0.35 * horizon_s});
-  }
-  Rng rng{seed ^ 0xD15EA5EDULL};
-  for (long k = 0; k < flap_count; ++k) {
-    const auto a = static_cast<std::size_t>(rng.next_below(n));
-    const auto b = static_cast<std::size_t>(rng.next_below(n));
-    if (a == b) {
-      --k;
-      continue;
-    }
-    plan.flapping.push_back(
-        {a, b, 0.0, horizon_s, std::max(horizon_s / 8.0, 1e-9), 0.3, true});
-  }
-  for (long k = 0; k < brownout_count; ++k) {
-    const auto a = static_cast<std::size_t>(rng.next_below(n));
-    const auto b = static_cast<std::size_t>(rng.next_below(n));
-    if (a == b) {
-      --k;
-      continue;
-    }
-    plan.brownouts.push_back(
-        {a, b, 0.0, 0.6 * horizon_s, brownout_factor, true});
-  }
-}
-
-ResilientOptions::ReplanOptions default_replan_policy(double horizon_s) {
-  ResilientOptions::ReplanOptions replan;
-  replan.enabled = true;
-  replan.max_replans = 4;
-  replan.backoff_base_s = 0.1 * horizon_s;
-  replan.backoff_factor = 2.0;
-  return replan;
-}
-
 FaultSweepContext::FaultSweepContext(const FaultSweepConfig& config)
-    : config_(&config),
-      instance_(make_instance(config.scenario, config.processors, config.seed,
-                              config.cluster_count)),
-      directory_(instance_.network) {
-  // Cut pairs are drawn once and shared by every sweep point, so rows
-  // differ only in how many nodes crash.
-  Rng rng{config.seed ^ 0xFA17FA17ULL};
-  while (cuts_.size() < config.cut_count) {
-    const auto a = static_cast<std::size_t>(rng.next_below(config.processors));
-    const auto b = static_cast<std::size_t>(rng.next_below(config.processors));
-    if (a == b) continue;
-    cuts_.push_back({a, b, 0.0, 1e12});  // outlasts any run: a permanent cut
-  }
-}
+    : config_(config) {}
 
 double FaultSweepContext::fault_free_completion() const {
-  const auto scheduler = make_row_scheduler(*config_, instance_.network);
-  const ResilientResult fault_free =
-      run_resilient(*scheduler, directory_, instance_.messages, {}, {});
-  return fault_free.completion_time;
+  const scenario::ResolvedScenario resolved =
+      scenario::resolve_scenario(row_spec(config_, 0));
+  const StaticDirectory directory{resolved.network};
+  return run_resilient(*resolved.scheduler, directory, resolved.messages, {},
+                       {})
+      .completion_time;
 }
 
 FaultSweepRow FaultSweepContext::run_row(std::size_t crashes,
                                          double baseline_s) const {
-  const FaultSweepConfig& config = *config_;
-  const std::size_t n = config.processors;
-  FaultPlan plan;
-  plan.cuts = cuts_;
-  plan.transient_loss_prob = config.loss;
-  plan.seed = config.seed;
-  add_dynamic_faults(plan, n, config.seed, baseline_s,
-                     static_cast<long>(config.restart_count),
-                     static_cast<long>(config.flap_count),
-                     static_cast<long>(config.brownout_count),
-                     config.brownout_factor);
-  // Crash the highest-numbered nodes at staggered times, so each row
-  // adds one more mid-exchange failure.
-  for (std::size_t k = 0; k < crashes; ++k)
-    plan.crashes.push_back(
-        {n - 1 - k, 0.25 * baseline_s * static_cast<double>(k + 1)});
-  const auto scheduler = make_row_scheduler(config, instance_.network);
-  ResilientOptions options;
-  if (config.replan) options.replan = default_replan_policy(baseline_s);
-  const ResilientResult result = run_resilient(*scheduler, directory_,
-                                               instance_.messages, plan,
-                                               options);
+  const scenario::ScenarioSpec spec = row_spec(config_, crashes);
+  const scenario::ResolvedScenario resolved = scenario::resolve_scenario(spec);
+  const StaticDirectory directory{resolved.network};
+  const ResilientResult result = run_resilient(
+      *resolved.scheduler, directory, resolved.messages,
+      scenario::make_fault_plan(spec, baseline_s),
+      scenario::make_resilient_options(spec, baseline_s));
   const std::size_t delivered_direct =
       result.outcomes.size() - result.relayed_count - result.undelivered_count;
   FaultSweepRow row;
@@ -144,7 +84,7 @@ FaultSweepRow FaultSweepContext::run_row(std::size_t crashes,
 
 std::string FaultSweepContext::algorithm_name() const {
   return std::string(
-      make_row_scheduler(*config_, instance_.network)->name());
+      scenario::resolve_scenario(row_spec(config_, 0)).scheduler->name());
 }
 
 FaultSweepResult run_fault_sweep(const FaultSweepConfig& config) {

@@ -12,10 +12,10 @@
 //
 // The row index space is the crash count: unit u ∈ [0, max_crashes]
 // computes the row with u crashed nodes. The fault-free baseline is
-// computed once (fault_sweep_baseline) and passed to every row — it
-// fixes the dynamic-fault horizon and the crash stagger, so it must be
-// identical across workers; the distributed driver ships it in the shard
-// spec.
+// computed once (FaultSweepContext::fault_free_completion) and passed to
+// every row — it fixes the dynamic-fault horizon and the crash stagger,
+// so it must be identical across workers; the distributed driver ships
+// it in the shard spec.
 #pragma once
 
 #include <cstdint>
@@ -24,9 +24,6 @@
 #include <vector>
 
 #include "core/scheduler.hpp"
-#include "fault/fault_plan.hpp"
-#include "fault/resilient.hpp"
-#include "netmodel/directory.hpp"
 #include "workload/scenario.hpp"
 
 namespace hcs {
@@ -77,24 +74,13 @@ struct FaultSweepResult {
 /// decoder.
 void validate_fault_sweep_config(const FaultSweepConfig& config);
 
-/// Dynamic (recoverable) faults shared by fault-sweep and `hcs trace`,
-/// scaled to the run's expected makespan: crash-restart windows on the
-/// lowest-numbered nodes, periodically flapping links, and bandwidth
-/// brownouts on random pairs. Deterministic in (seed, horizon).
-void add_dynamic_faults(FaultPlan& plan, std::size_t n, std::uint64_t seed,
-                        double horizon_s, long restart_count, long flap_count,
-                        long brownout_count, double brownout_factor);
-
-/// Replan policy turned on with --replan: budgeted degraded-mode
-/// rescheduling whose backoff concedes enough wall-clock for mid-horizon
-/// recovery windows to pass.
-[[nodiscard]] ResilientOptions::ReplanOptions default_replan_policy(
-    double horizon_s);
-
-/// Warm per-worker context: the instance, directory, and shared cut
-/// pairs, built once and reused across rows. Rows are computed by value
-/// and are safe to run from multiple threads on one context (each row
-/// builds its own scheduler; the directory is immutable).
+/// Per-worker view of one sweep. Each row resolves the config as a
+/// scenario spec (scenario::instance_spec plus the [faults] fields, with
+/// the row's crash count) through the scenario builders: resolve_scenario
+/// for the instance and scheduler, make_fault_plan and
+/// make_resilient_options scaled to the baseline. Rows are computed by
+/// value and are safe to run from multiple threads on one context (each
+/// row builds its own instance and scheduler).
 class FaultSweepContext {
  public:
   explicit FaultSweepContext(const FaultSweepConfig& config);
@@ -110,10 +96,7 @@ class FaultSweepContext {
   [[nodiscard]] std::string algorithm_name() const;
 
  private:
-  const FaultSweepConfig* config_;
-  ProblemInstance instance_;
-  StaticDirectory directory_;
-  std::vector<LinkCut> cuts_;
+  FaultSweepConfig config_;
 };
 
 /// Runs the whole sweep on the local ThreadPool. Deterministic at any

@@ -1,17 +1,17 @@
-// Hard-fault scenarios: what breaks, where, and when.
+// Failure injection: what breaks, where, and when.
 //
-// The paper's adaptive framework (§6.3) assumes the network only drifts;
-// OutageDirectory (src/netmodel) adds soft failures where bandwidth
-// collapses but transfers still complete. Real metacomputing networks
-// also fail *hard*: a node crashes and stays down (crash-stop), a link is
-// cut outright for a window, and individual transmissions are lost — and
-// they fail *dynamically*: a node reboots and rejoins (crash-restart), a
-// link flaps up and down, a path browns out to a fraction of its
-// bandwidth and recovers. A FaultPlan describes one such scenario
-// declaratively; FaultyDirectory exposes it to planning, and
-// FaultPlanModel (both in faulty_directory.hpp) exposes it to execution
-// through the simulator's send-failure hook, so schedulers and the
-// resilient executor see a consistent world. The dynamic faults are what
+// The paper's adaptive framework (§6.3) assumes the network only drifts.
+// Real metacomputing networks also fail. Softly: a path browns out to a
+// fraction of its bandwidth for a window and transfers crawl rather than
+// error. *Hard*: a node crashes and stays down (crash-stop), a link is
+// cut outright for a window, and individual transmissions are lost. And
+// *dynamically*: a node reboots and rejoins (crash-restart), a link flaps
+// up and down. A FaultPlan is the one vocabulary for all of these: it
+// describes one scenario declaratively. FaultyDirectory exposes it to
+// planning (or, with only brownouts, serves as a degraded live directory),
+// and FaultPlanModel (both in faulty_directory.hpp) exposes it to
+// execution through the simulator's send-failure hook, so schedulers and
+// the resilient executor see a consistent world. The dynamic faults are what
 // make online re-planning (fault/resilient.hpp) worthwhile: a schedule
 // that failed now can succeed after the recovery window passes.
 #pragma once
@@ -40,7 +40,7 @@ struct CrashRestart {
 };
 
 /// A pair unreachable over [begin_s, end_s): every transmission attempt
-/// overlapping the window times out. The hard sibling of Outage.
+/// overlapping the window times out. The hard sibling of Brownout.
 struct LinkCut {
   std::size_t src = 0;
   std::size_t dst = 0;
@@ -75,9 +75,10 @@ struct FlappingLink {
 };
 
 /// A bandwidth brownout: over [begin_s, end_s) the pair's bandwidth is
-/// multiplied by `factor` in (0, 1]. Transfers still complete — slower —
-/// so planning sees a degraded advertisement and execution pays
-/// 1/factor times the nominal transfer time.
+/// multiplied by `factor` in (0, 1]; overlapping brownouts multiply.
+/// Transfers still complete — slower — so planning sees a degraded
+/// advertisement and execution pays 1/factor times the nominal transfer
+/// time. Only bandwidth degrades; start-up latency is untouched.
 struct Brownout {
   std::size_t src = 0;
   std::size_t dst = 0;

@@ -20,7 +20,9 @@
 namespace hcs {
 
 /// Directory decorator advertising a FaultPlan's hard faults as
-/// (near-)unreachable performance.
+/// (near-)unreachable performance and its brownouts as the degraded
+/// bandwidth they leave. With only brownouts in the plan it is the
+/// windowed-outage directory: a live network that crawls, never fails.
 class FaultyDirectory final : public DirectoryService {
  public:
   /// `base` is borrowed; the caller keeps it alive. `plan` is copied.

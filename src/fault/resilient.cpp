@@ -351,8 +351,9 @@ ResilientResult run_resilient_impl(const Scheduler& scheduler,
                        TraceEventKind::kReplan});
     }
 
-    // Plan the remaining pairs from the fault- and health-aware view
-    // (same round construction as run_adaptive). With nothing to overlay
+    // Plan the remaining pairs from the fault- and health-aware view.
+    // Availability-aware schedulers plan against the current port skew
+    // (ports still busy with committed transfers). With nothing to overlay
     // the decorators answer exactly like the base directory, so skip them
     // and keep the base's (possibly O(1)) snapshot fast path.
     const bool overlay_active =
@@ -427,7 +428,7 @@ ResilientResult run_resilient_impl(const Scheduler& scheduler,
     // Merge deliveries and give-ups into one commit stream so an
     // all-failed round still advances the checkpoint clock. Rounds where
     // everything delivered (every round of a healthy run) skip the merge
-    // and sort the simulator's event array in place, like run_adaptive.
+    // and sort the simulator's event array in place.
     std::vector<Candidate> merged;
     if (!executed.undelivered.empty()) {
       merged.reserve(executed.events.size() + executed.undelivered.size());

@@ -1,10 +1,8 @@
-// Fault-tolerant adaptive exchange execution.
+// The adaptive exchange executor (§6.3), fault-tolerant.
 //
-// run_adaptive (adaptive/checkpoint.hpp) assumes every planned transfer
-// eventually succeeds; under crash-stop nodes or cut links it would spin
-// forever. run_resilient keeps the same checkpoint loop — plan from a
-// snapshot, execute, commit a prefix, reschedule the rest — but survives
-// a FaultPlan:
+// run_resilient is the checkpoint loop — plan from a directory snapshot,
+// execute, commit a prefix, reschedule the rest — and it survives a
+// FaultPlan:
 //
 //  - Planning sees faults and observed health: schedulers query
 //    QuarantineDirectory(FaultyDirectory(live, plan)), so cut, dead and
@@ -27,22 +25,29 @@
 //    repeatedly misbehaving pairs are quarantined and their remaining
 //    traffic shifts to relays at the next checkpoint.
 //
-// With an empty FaultPlan the executed events are identical to
-// run_adaptive's — the fault path costs bookkeeping only.
+// With an empty FaultPlan it is the paper's plain checkpointed exchange:
+// no attempt fails, the fault hook and planning overlays are skipped, and
+// every pair commits once, so no pair collects enough health strikes to
+// be quarantined. tests/fault_test.cpp pins that case event for event to
+// the standalone checkpoint loop this executor replaced.
 #pragma once
 
 #include <cstddef>
 #include <vector>
 
 #include "adaptive/checkpoint.hpp"
+#include "core/scheduler.hpp"
 #include "fault/fault_plan.hpp"
 #include "fault/health.hpp"
+#include "netmodel/directory.hpp"
+#include "sim/simulator.hpp"
+#include "workload/generators.hpp"
 
 namespace hcs {
 
 /// Options for the resilient executor.
 struct ResilientOptions {
-  /// Checkpoint policy and reschedule threshold, as for run_adaptive.
+  /// Checkpoint policy and reschedule threshold.
   AdaptiveOptions adaptive;
 
   /// Watchdog: an attempt to a dead or cut peer is abandoned after this

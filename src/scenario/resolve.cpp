@@ -94,6 +94,24 @@ std::unique_ptr<Scheduler> make_spec_scheduler(const ScenarioSpec& spec,
 
 }  // namespace
 
+ScenarioSpec instance_spec(Scenario scenario, std::size_t processors,
+                           std::uint64_t seed, std::size_t cluster_count) {
+  ScenarioSpec spec;
+  spec.seed = seed;
+  spec.processors = processors;
+  if (cluster_count > 0) {
+    spec.family = TopologyFamily::kClustered;
+    spec.sites = cluster_count;
+  }
+  switch (scenario) {
+    case Scenario::kSmallMessages: spec.workload = WorkloadKind::kSmall; break;
+    case Scenario::kLargeMessages: spec.workload = WorkloadKind::kLarge; break;
+    case Scenario::kMixedMessages: spec.workload = WorkloadKind::kMixed; break;
+    case Scenario::kServers: spec.workload = WorkloadKind::kServers; break;
+  }
+  return spec;
+}
+
 ResolvedScenario resolve_scenario(const ScenarioSpec& spec) {
   // make_instance's sub-seed convention: one seeder, network draw first,
   // workload draw second, so paper workloads on flat/clustered fabrics

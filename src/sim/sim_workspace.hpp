@@ -1,8 +1,8 @@
 // Reusable simulator workspace.
 //
 // NetworkSimulator::run is called in tight loops — every checkpoint round
-// of run_adaptive / run_resilient and every repetition of the experiment
-// sweeps re-executes a send program — yet each run used to rebuild a
+// of run_resilient and every repetition of the experiment sweeps
+// re-executes a send program — yet each run used to rebuild a
 // forest of std::priority_queues and per-port vectors from scratch. A
 // SimWorkspace owns all of that scratch storage as flat, index-based
 // structures that are cleared (never shrunk) between runs, so after the

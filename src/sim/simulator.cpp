@@ -14,7 +14,7 @@
 // makes every run allocation-free inside the simulator. The semantics are
 // pinned by tests/sim_golden_test.cpp, which asserts event-for-event
 // bit-identical traces against the retained naive implementation in
-// sim/reference_simulator.cpp across all receive models, arbitration
+// oracles/reference_simulator.cpp across all receive models, arbitration
 // modes, and fault hooks.
 //
 // The interleaved model is event-driven rather than scan-driven. All

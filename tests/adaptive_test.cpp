@@ -1,5 +1,6 @@
-// Tests for src/adaptive: checkpoint-based adaptive execution (§6.3) and
-// incremental schedule refinement (§6.2).
+// Tests for src/adaptive: checkpoint-based adaptive execution (§6.3), run
+// by run_resilient with no faults injected, and incremental schedule
+// refinement (§6.2).
 #include <gtest/gtest.h>
 
 #include <set>
@@ -9,6 +10,7 @@
 #include "core/baseline.hpp"
 #include "core/matching_scheduler.hpp"
 #include "core/openshop_scheduler.hpp"
+#include "fault/resilient.hpp"
 #include "netmodel/generator.hpp"
 #include "test_helpers.hpp"
 #include "util/error.hpp"
@@ -18,7 +20,7 @@ namespace {
 
 /// Checks that an adaptive result is a complete, port-consistent total
 /// exchange: every pair exactly once, no sender or receiver overlap.
-void check_complete_exchange(const AdaptiveResult& result, std::size_t n) {
+void check_complete_exchange(const ResilientResult& result, std::size_t n) {
   std::set<std::pair<std::size_t, std::size_t>> pairs;
   for (const ScheduledEvent& event : result.events) {
     EXPECT_NE(event.src, event.dst);
@@ -59,10 +61,10 @@ TEST(Adaptive, StaticNetworkNeverPolicyMatchesPlainSchedule) {
   const MessageMatrix messages = uniform_messages(n, kMiB);
   const OpenShopScheduler scheduler;
 
-  AdaptiveOptions options;
-  options.policy = CheckpointPolicy::kNever;
-  const AdaptiveResult result =
-      run_adaptive(scheduler, directory, messages, options);
+  ResilientOptions options;
+  options.adaptive.policy = CheckpointPolicy::kNever;
+  const ResilientResult result =
+      run_resilient(scheduler, directory, messages, {}, options);
   EXPECT_EQ(result.reschedule_count, 0u);
 
   const CommMatrix comm{network, messages};
@@ -79,10 +81,10 @@ TEST(Adaptive, StaticNetworkRescheduleIsHarmless) {
   const MessageMatrix messages = uniform_messages(n, kMiB);
   const OpenShopScheduler scheduler;
 
-  AdaptiveOptions options;
-  options.policy = CheckpointPolicy::kHalveRemaining;
-  const AdaptiveResult result =
-      run_adaptive(scheduler, directory, messages, options);
+  ResilientOptions options;
+  options.adaptive.policy = CheckpointPolicy::kHalveRemaining;
+  const ResilientResult result =
+      run_resilient(scheduler, directory, messages, {}, options);
   check_complete_exchange(result, n);
   EXPECT_GT(result.reschedule_count, 0u);
 }
@@ -97,16 +99,16 @@ TEST(Adaptive, EveryEventPolicyReschedulesMostOften) {
   const MessageMatrix messages = uniform_messages(n, kKiB);
   const OpenShopScheduler scheduler;
 
-  AdaptiveOptions every;
-  every.policy = CheckpointPolicy::kEveryEvent;
-  const AdaptiveResult per_event =
-      run_adaptive(scheduler, directory, messages, every);
+  ResilientOptions every;
+  every.adaptive.policy = CheckpointPolicy::kEveryEvent;
+  const ResilientResult per_event =
+      run_resilient(scheduler, directory, messages, {}, every);
   check_complete_exchange(per_event, n);
 
-  AdaptiveOptions halving;
-  halving.policy = CheckpointPolicy::kHalveRemaining;
-  const AdaptiveResult halved =
-      run_adaptive(scheduler, directory, messages, halving);
+  ResilientOptions halving;
+  halving.adaptive.policy = CheckpointPolicy::kHalveRemaining;
+  const ResilientResult halved =
+      run_resilient(scheduler, directory, messages, {}, halving);
 
   EXPECT_GE(per_event.reschedule_count, 2u);
   EXPECT_LE(per_event.reschedule_count, n * (n - 1) - 1);
@@ -119,10 +121,10 @@ TEST(Adaptive, HalvingPolicyUsesLogarithmicRounds) {
   const MessageMatrix messages = uniform_messages(n, kKiB);
   const OpenShopScheduler scheduler;
 
-  AdaptiveOptions options;
-  options.policy = CheckpointPolicy::kHalveRemaining;
-  const AdaptiveResult result =
-      run_adaptive(scheduler, directory, messages, options);
+  ResilientOptions options;
+  options.adaptive.policy = CheckpointPolicy::kHalveRemaining;
+  const ResilientResult result =
+      run_resilient(scheduler, directory, messages, {}, options);
   check_complete_exchange(result, n);
   EXPECT_GE(result.reschedule_count, 2u);
   EXPECT_LE(result.reschedule_count, 10u);
@@ -140,10 +142,10 @@ TEST(Adaptive, DriftingNetworkStillCompletesValidExchange) {
   for (const CheckpointPolicy policy :
        {CheckpointPolicy::kNever, CheckpointPolicy::kEveryEvent,
         CheckpointPolicy::kHalveRemaining}) {
-    AdaptiveOptions options;
-    options.policy = policy;
-    const AdaptiveResult result =
-        run_adaptive(scheduler, directory, messages, options);
+    ResilientOptions options;
+    options.adaptive.policy = policy;
+    const ResilientResult result =
+        run_resilient(scheduler, directory, messages, {}, options);
     check_complete_exchange(result, n);
     EXPECT_GT(result.completion_time, 0.0);
   }
@@ -157,11 +159,11 @@ TEST(Adaptive, ThresholdSuppressesReschedulingOnStaticNetwork) {
   const MessageMatrix messages = uniform_messages(n, kMiB);
   const OpenShopScheduler scheduler;
 
-  AdaptiveOptions options;
-  options.policy = CheckpointPolicy::kHalveRemaining;
-  options.reschedule_threshold = 0.05;
-  const AdaptiveResult result =
-      run_adaptive(scheduler, directory, messages, options);
+  ResilientOptions options;
+  options.adaptive.policy = CheckpointPolicy::kHalveRemaining;
+  options.adaptive.reschedule_threshold = 0.05;
+  const ResilientResult result =
+      run_resilient(scheduler, directory, messages, {}, options);
   EXPECT_EQ(result.reschedule_count, 0u);
   check_complete_exchange(result, n);
 }
@@ -170,17 +172,19 @@ TEST(Adaptive, NegativeThresholdThrows) {
   const StaticDirectory directory{generate_network(3, 9)};
   const MessageMatrix messages = uniform_messages(3, kKiB);
   const OpenShopScheduler scheduler;
-  AdaptiveOptions options;
-  options.reschedule_threshold = -1.0;
-  EXPECT_THROW((void)run_adaptive(scheduler, directory, messages, options),
-               InputError);
+  ResilientOptions options;
+  options.adaptive.reschedule_threshold = -1.0;
+  EXPECT_THROW(
+      (void)run_resilient(scheduler, directory, messages, {}, options),
+      InputError);
 }
 
 TEST(Adaptive, SizeMismatchThrows) {
   const StaticDirectory directory{generate_network(3, 9)};
   const MessageMatrix messages = uniform_messages(4, kKiB);
   const OpenShopScheduler scheduler;
-  EXPECT_THROW((void)run_adaptive(scheduler, directory, messages), InputError);
+  EXPECT_THROW((void)run_resilient(scheduler, directory, messages, {}),
+               InputError);
 }
 
 // ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@
 #include "netmodel/cluster_detect.hpp"
 #include "netmodel/directory.hpp"
 #include "netmodel/generator.hpp"
-#include "sim/reference_simulator.hpp"
+#include "oracles/reference_simulator.hpp"
 #include "sim/send_program.hpp"
 #include "sim/simulator.hpp"
 #include "trace/auditor.hpp"

@@ -6,6 +6,7 @@
 #include <set>
 
 #include "adaptive/checkpoint.hpp"
+#include "core/greedy_scheduler.hpp"
 #include "core/hierarchical_scheduler.hpp"
 #include "core/matching_scheduler.hpp"
 #include "core/openshop_scheduler.hpp"
@@ -14,7 +15,6 @@
 #include "fault/resilient.hpp"
 #include "netmodel/cluster_detect.hpp"
 #include "netmodel/generator.hpp"
-#include "netmodel/outage.hpp"
 #include "trace/auditor.hpp"
 #include "trace/metrics.hpp"
 #include "trace/trace.hpp"
@@ -447,42 +447,271 @@ TEST(Health, OptionValidation) {
 // run_resilient
 // ---------------------------------------------------------------------------
 
+/// The standalone §6.3 checkpoint loop that run_resilient replaced, kept
+/// verbatim as the oracle for the empty-plan case: plan from a snapshot,
+/// run to the checkpoint, commit (in-flight events included), re-plan.
+/// `trace` is null for an untraced run.
+struct ReferenceAdaptiveResult {
+  std::vector<ScheduledEvent> events;
+  double completion_time = 0.0;
+  std::size_t reschedule_count = 0;
+};
+
+ReferenceAdaptiveResult reference_run_adaptive(
+    const Scheduler& scheduler, const DirectoryService& directory,
+    const MessageMatrix& messages, const AdaptiveOptions& options,
+    EventTrace* trace) {
+  const std::size_t n = directory.processor_count();
+  if (messages.rows() != n || !messages.square())
+    throw InputError("run_adaptive: directory and messages disagree on size");
+  options.validate();
+
+  Matrix<unsigned char> remaining(n, n, 0);
+  std::size_t remaining_count = 0;
+  for (std::size_t i = 0; i < n; ++i)
+    for (std::size_t j = 0; j < n; ++j)
+      if (i != j) {
+        // Even a zero-byte message costs its start-up time in the model,
+        // so every off-diagonal pair participates.
+        remaining(i, j) = 1;
+        ++remaining_count;
+      }
+
+  const NetworkSimulator simulator{directory, messages};
+  std::vector<double> send_avail(n, 0.0);
+  std::vector<double> recv_avail(n, 0.0);
+  double now = 0.0;
+
+  ReferenceAdaptiveResult result;
+  result.events.reserve(remaining_count);
+
+  // Per-round simulation state, hoisted so the simulator's warm workspace
+  // and these buffers are reused across every checkpoint round.
+  SimOptions sim_options;
+  SimResult executed;
+  std::size_t round = 0;
+
+  while (remaining_count > 0) {
+    ++round;
+    // Plan from the current directory snapshot: estimated event times for
+    // the remaining pairs only (finished pairs cost zero and are dropped
+    // from the program afterwards).
+    const NetworkModel snapshot = directory.snapshot(now);
+    const CommMatrix comm{snapshot.cost_matrix(messages, remaining)};
+    // Availability-aware schedulers plan against the current port skew
+    // (ports that are still busy with committed transfers); others plan
+    // for an idle system and contribute orders only.
+    Schedule planned = [&] {
+      const auto* avail_aware =
+          dynamic_cast<const AvailabilityAwareScheduler*>(&scheduler);
+      if (avail_aware == nullptr) return scheduler.schedule(comm);
+      std::vector<double> send_offset(n, 0.0);
+      std::vector<double> recv_offset(n, 0.0);
+      for (std::size_t p = 0; p < n; ++p) {
+        send_offset[p] = std::max(send_avail[p] - now, 0.0);
+        recv_offset[p] = std::max(recv_avail[p] - now, 0.0);
+      }
+      return avail_aware->schedule_with_availability(comm, send_offset,
+                                                     recv_offset);
+    }();
+    // Pairs already sent, and the zero-cost padding the round's plan
+    // covers them with, drop out of the program.
+    const SendProgram program = SendProgram::from_schedule(planned, remaining);
+
+    // Execute the plan against the live directory.
+    sim_options.initial_send_avail.assign(n, 0.0);
+    sim_options.initial_recv_avail.assign(n, 0.0);
+    for (std::size_t p = 0; p < n; ++p) {
+      sim_options.initial_send_avail[p] = std::max(send_avail[p], now);
+      sim_options.initial_recv_avail[p] = std::max(recv_avail[p], now);
+    }
+    simulator.run_into(program, sim_options, executed);
+    std::sort(executed.events.begin(), executed.events.end(),
+              [](const ScheduledEvent& a, const ScheduledEvent& b) {
+                return a.finish_s < b.finish_s;
+              });
+
+    // How many events to commit before the checkpoint.
+    std::size_t commit_target = remaining_count;
+    switch (options.policy) {
+      case CheckpointPolicy::kNever: break;
+      case CheckpointPolicy::kEveryEvent: commit_target = 1; break;
+      case CheckpointPolicy::kHalveRemaining:
+        commit_target = (remaining_count + 1) / 2;
+        break;
+    }
+
+    // Optional threshold: if the committed prefix ran close to its
+    // estimate, keep executing the same plan through further checkpoints.
+    if (commit_target < executed.events.size() &&
+        options.reschedule_threshold > 0.0) {
+      while (commit_target < executed.events.size()) {
+        double worst = 0.0;
+        for (std::size_t k = 0; k < commit_target; ++k) {
+          const ScheduledEvent& event = executed.events[k];
+          const double estimated = comm.time(event.src, event.dst);
+          if (estimated <= 0.0) continue;
+          worst = std::max(worst,
+                           std::abs(event.duration() - estimated) / estimated);
+        }
+        if (worst > options.reschedule_threshold) break;
+        commit_target = std::min(executed.events.size(),
+                                 commit_target + (remaining_count + 1) / 2);
+      }
+    }
+
+    // Commit events up to the checkpoint, plus any event already in
+    // flight at the checkpoint time (a started transfer cannot be
+    // recalled).
+    double cut_time = executed.completion_time;
+    if (commit_target < executed.events.size())
+      cut_time = executed.events[commit_target - 1].finish_s;
+    std::size_t committed = 0;
+    for (const ScheduledEvent& event : executed.events) {
+      const bool before_cut = event.finish_s <= cut_time;
+      const bool in_flight = event.start_s < cut_time;
+      if (!before_cut && !in_flight) continue;
+      if (trace != nullptr) {
+        const auto src32 = static_cast<std::uint32_t>(event.src);
+        const auto dst32 = static_cast<std::uint32_t>(event.dst);
+        const auto round32 = static_cast<std::uint32_t>(round);
+        trace->record({event.start_s, event.start_s,
+                       messages(event.src, event.dst), src32, dst32, round32,
+                       TraceEventKind::kSendStart});
+        trace->record({event.start_s, event.finish_s,
+                       messages(event.src, event.dst), src32, dst32, round32,
+                       TraceEventKind::kSendEnd});
+      }
+      result.events.push_back(event);
+      remaining(event.src, event.dst) = 0;
+      send_avail[event.src] = std::max(send_avail[event.src], event.finish_s);
+      recv_avail[event.dst] = std::max(recv_avail[event.dst], event.finish_s);
+      result.completion_time = std::max(result.completion_time, event.finish_s);
+      ++committed;
+    }
+    check(committed > 0, "run_adaptive: no progress");
+    remaining_count -= committed;
+    now = cut_time;
+    if (remaining_count > 0) {
+      ++result.reschedule_count;
+      if (trace != nullptr) {
+        const auto round32 = static_cast<std::uint32_t>(round);
+        trace->record({cut_time, cut_time, 0, 0, 0, round32,
+                       TraceEventKind::kCheckpoint});
+        trace->record({cut_time, cut_time, 0, 0, 0, round32,
+                       TraceEventKind::kReschedule});
+      }
+    }
+  }
+  return result;
+}
+
+/// Every recorded event of `trace`, oldest first.
+std::vector<TraceEvent> recorded_events(const EventTrace& trace) {
+  std::vector<TraceEvent> events;
+  trace.for_each([&](const TraceEvent& event) { events.push_back(event); });
+  return events;
+}
+
 TEST(Resilient, EmptyPlanIsBitIdenticalToRunAdaptive) {
   // The fault path with nothing to inject must not perturb a single
-  // double: same events, same times, same reschedule count.
-  const std::size_t n = 6;
-  DriftingDirectory::Options drift;
-  drift.update_period_s = 0.5;
-  drift.step_sigma = 0.4;
-  const DriftingDirectory drifting{generate_network(n, 31), 13, drift};
-  const StaticDirectory fixed{generate_network(n, 32)};
-  const MessageMatrix messages = uniform_messages(n, kMiB);
-  const OpenShopScheduler scheduler;
+  // double: same events, same times, same reschedule count and the same
+  // traced history as the standalone checkpoint loop. The cases cover
+  // flat and hierarchical schedulers, every policy, reschedule
+  // thresholds, static and drifting directories — including one drifting
+  // hard enough (sigma >= 1, 50x clamp) that deviation strikes fire — and
+  // a brownout FaultyDirectory as the live directory. Every pair commits
+  // exactly once, so a pair collects at most one strike: nothing is ever
+  // quarantined or relayed.
+  for (const std::size_t n : {5, 8}) {
+    const NetworkModel flat = generate_network(n, 31 + n);
+    ClusteredNetworkOptions clustered_options;
+    clustered_options.cluster_count = 2;
+    const NetworkModel clustered =
+        generate_clustered_network(n, 7 + n, clustered_options);
 
-  for (const DirectoryService* directory :
-       {static_cast<const DirectoryService*>(&drifting),
-        static_cast<const DirectoryService*>(&fixed)}) {
-    for (const CheckpointPolicy policy : kAllPolicies) {
-      AdaptiveOptions adaptive_options;
-      adaptive_options.policy = policy;
-      const AdaptiveResult expected =
-          run_adaptive(scheduler, *directory, messages, adaptive_options);
+    DriftingDirectory::Options mild;
+    mild.update_period_s = 0.5;
+    mild.step_sigma = 0.4;
+    DriftingDirectory::Options wild;
+    wild.update_period_s = 0.25;
+    wild.step_sigma = 1.5;
+    wild.max_factor = 50.0;
+    FaultPlan outage_plan;
+    outage_plan.brownouts.push_back({0, 1, 0.05, 5.0, 0.02, true});
+    outage_plan.brownouts.push_back({2, n - 1, 0.0, 2.0, 0.1, false});
 
-      ResilientOptions options;
-      options.adaptive = adaptive_options;
-      const ResilientResult actual =
-          run_resilient(scheduler, *directory, messages, {}, options);
+    const MessageMatrix messages = uniform_messages(n, kMiB);
+    const OpenShopScheduler openshop;
+    const GreedyScheduler greedy;
+    const MatchingScheduler matching{MatchingObjective::kMaxWeight};
+    HierarchicalScheduler::Options hierarchical_options;
+    hierarchical_options.inner = SchedulerKind::kGreedy;
+    const HierarchicalScheduler hierarchical{detect_clusters(clustered),
+                                             hierarchical_options};
 
-      ASSERT_EQ(actual.events.size(), expected.events.size());
-      for (std::size_t k = 0; k < expected.events.size(); ++k)
-        EXPECT_EQ(actual.events[k], expected.events[k]);
-      EXPECT_EQ(actual.completion_time, expected.completion_time);
-      EXPECT_EQ(actual.reschedule_count, expected.reschedule_count);
-      EXPECT_EQ(actual.failed_attempts, 0u);
-      EXPECT_TRUE(actual.complete());
-      for (const MessageOutcome& outcome : actual.outcomes)
-        EXPECT_EQ(outcome.status, DeliveryStatus::kDirect);
+    std::size_t strikes = 0;
+    for (const bool on_clusters : {false, true}) {
+      const NetworkModel& network = on_clusters ? clustered : flat;
+      const StaticDirectory fixed{network};
+      const DriftingDirectory drifting{network, 13, mild};
+      const DriftingDirectory storm{network, 17, wild};
+      const FaultyDirectory outage{fixed, outage_plan};
+      const std::vector<const Scheduler*> schedulers =
+          on_clusters ? std::vector<const Scheduler*>{&hierarchical}
+                      : std::vector<const Scheduler*>{&openshop, &greedy,
+                                                      &matching};
+      for (const Scheduler* scheduler : schedulers) {
+        for (const DirectoryService* directory :
+             {static_cast<const DirectoryService*>(&fixed),
+              static_cast<const DirectoryService*>(&drifting),
+              static_cast<const DirectoryService*>(&storm),
+              static_cast<const DirectoryService*>(&outage)}) {
+          for (const CheckpointPolicy policy : kAllPolicies) {
+            for (const double threshold : {0.0, 0.1, 0.5}) {
+              SCOPED_TRACE(std::string(scheduler->name()) + " P=" +
+                           std::to_string(n) + " policy " +
+                           std::string(checkpoint_policy_name(policy)) +
+                           " threshold " + std::to_string(threshold));
+              ResilientOptions options;
+              options.adaptive.policy = policy;
+              options.adaptive.reschedule_threshold = threshold;
+              EventTrace expected_trace;
+              const ReferenceAdaptiveResult expected = reference_run_adaptive(
+                  *scheduler, *directory, messages, options.adaptive,
+                  &expected_trace);
+              EventTrace actual_trace;
+              const ResilientResult actual = run_resilient_traced(
+                  *scheduler, *directory, messages, {}, options,
+                  actual_trace);
+
+              ASSERT_EQ(actual.events.size(), expected.events.size());
+              for (std::size_t k = 0; k < expected.events.size(); ++k)
+                EXPECT_EQ(actual.events[k], expected.events[k]);
+              EXPECT_EQ(actual.completion_time, expected.completion_time);
+              EXPECT_EQ(actual.reschedule_count, expected.reschedule_count);
+              EXPECT_EQ(actual.failed_attempts, 0u);
+              EXPECT_TRUE(actual.complete());
+              for (const MessageOutcome& outcome : actual.outcomes)
+                EXPECT_EQ(outcome.status, DeliveryStatus::kDirect);
+              EXPECT_EQ(actual.health.quarantined_pair_count(), 0u);
+              for (std::size_t i = 0; i < n; ++i)
+                for (std::size_t j = 0; j < n; ++j)
+                  if (i != j) strikes += actual.health.strikes(i, j);
+
+              const std::vector<TraceEvent> expected_events =
+                  recorded_events(expected_trace);
+              const std::vector<TraceEvent> actual_events =
+                  recorded_events(actual_trace);
+              ASSERT_EQ(actual_events.size(), expected_events.size());
+              for (std::size_t k = 0; k < expected_events.size(); ++k)
+                EXPECT_EQ(actual_events[k], expected_events[k]);
+            }
+          }
+        }
+      }
     }
+    EXPECT_GT(strikes, 0u) << "no deviation strike fired at P=" << n;
   }
 }
 
@@ -851,16 +1080,18 @@ TEST(FaultProperty, AdaptiveUnderOutagesNeverOverlapsPorts) {
     drift.update_period_s = 0.5;
     drift.step_sigma = 0.3;
     const DriftingDirectory base{generate_network(n, seed), seed, drift};
-    const OutageDirectory directory{
-        base,
-        {{0, 1, 0.2, 1.5, 0.02}, {2, 3, 0.0, 0.8, 0.05}, {1, 4, 0.5, 2.0, 0.1}}};
+    FaultPlan outages;
+    outages.brownouts = {{0, 1, 0.2, 1.5, 0.02},
+                         {2, 3, 0.0, 0.8, 0.05},
+                         {1, 4, 0.5, 2.0, 0.1}};
+    const FaultyDirectory directory{base, outages};
     const MessageMatrix messages = uniform_messages(n, 256 * kKiB);
     const OpenShopScheduler scheduler;
     for (const CheckpointPolicy policy : kAllPolicies) {
-      AdaptiveOptions options;
-      options.policy = policy;
-      const AdaptiveResult result =
-          run_adaptive(scheduler, directory, messages, options);
+      ResilientOptions options;
+      options.adaptive.policy = policy;
+      const ResilientResult result =
+          run_resilient(scheduler, directory, messages, {}, options);
       check_no_port_overlap(result.events, n);
       EXPECT_EQ(result.events.size(), n * (n - 1));
     }
@@ -868,8 +1099,9 @@ TEST(FaultProperty, AdaptiveUnderOutagesNeverOverlapsPorts) {
 }
 
 TEST(FaultProperty, AdaptiveUnderFaultyDirectoryNeverOverlapsPorts) {
-  // run_adaptive treats a FaultyDirectory as a very slow network: cut
-  // pairs crawl instead of erroring, but port exclusivity must hold.
+  // As the live directory of a run with no fault plan, a FaultyDirectory
+  // is a very slow network: cut pairs crawl instead of erroring, but port
+  // exclusivity must hold.
   const std::size_t n = 5;
   for (std::uint64_t seed = 1; seed <= 5; ++seed) {
     const StaticDirectory base{generate_network(n, seed)};
@@ -882,10 +1114,10 @@ TEST(FaultProperty, AdaptiveUnderFaultyDirectoryNeverOverlapsPorts) {
     const MessageMatrix messages = uniform_messages(n, kKiB);
     const OpenShopScheduler scheduler;
     for (const CheckpointPolicy policy : kAllPolicies) {
-      AdaptiveOptions options;
-      options.policy = policy;
-      const AdaptiveResult result =
-          run_adaptive(scheduler, directory, messages, options);
+      ResilientOptions options;
+      options.adaptive.policy = policy;
+      const ResilientResult result =
+          run_resilient(scheduler, directory, messages, {}, options);
       check_no_port_overlap(result.events, n);
       EXPECT_EQ(result.events.size(), n * (n - 1));
     }

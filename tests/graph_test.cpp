@@ -8,7 +8,7 @@
 #include <numeric>
 #include <vector>
 
-#include "graph/auction.hpp"
+#include "oracles/auction.hpp"
 #include "graph/lap.hpp"
 #include "graph/matching.hpp"
 #include "util/error.hpp"

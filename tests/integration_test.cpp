@@ -13,6 +13,7 @@
 #include "core/baseline.hpp"
 #include "core/matching_scheduler.hpp"
 #include "core/openshop_scheduler.hpp"
+#include "fault/resilient.hpp"
 #include "experiment/experiment.hpp"
 #include "netmodel/generator.hpp"
 #include "qos/qos_scheduler.hpp"
@@ -189,16 +190,15 @@ TEST(Pipeline, CheckpointAdaptationHelpsUnderRegimeSwitch) {
     trace.emplace(switch_time, after);
     const TraceDirectory directory{std::move(trace)};
 
-    AdaptiveOptions options;
-    options.policy = CheckpointPolicy::kNever;
-    never_total +=
-        run_adaptive(scheduler, directory, messages, options).completion_time;
-    options.policy = CheckpointPolicy::kHalveRemaining;
-    halve_total +=
-        run_adaptive(scheduler, directory, messages, options).completion_time;
-    options.policy = CheckpointPolicy::kEveryEvent;
-    every_total +=
-        run_adaptive(scheduler, directory, messages, options).completion_time;
+    ResilientOptions options;
+    const auto completion = [&](CheckpointPolicy policy) {
+      options.adaptive.policy = policy;
+      return run_resilient(scheduler, directory, messages, {}, options)
+          .completion_time;
+    };
+    never_total += completion(CheckpointPolicy::kNever);
+    halve_total += completion(CheckpointPolicy::kHalveRemaining);
+    every_total += completion(CheckpointPolicy::kEveryEvent);
   }
   EXPECT_LT(every_total, never_total);
   EXPECT_LE(halve_total, never_total * 1.05);

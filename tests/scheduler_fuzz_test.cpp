@@ -1,7 +1,7 @@
 // Property pins for the workspace-backed scheduler hot paths (ISSUE 5):
 // the optimized greedy and open-shop loops — masked SIMD argmins,
 // speculation, bitset scans — must produce output bit-identical to the
-// retained textbook implementations in core/reference_schedulers.hpp on
+// retained textbook implementations in oracles/reference_schedulers.hpp on
 // every instance. Seeds cycle P through 2..64 plus >64 sizes that force
 // the multi-word (wide) mask path; half the instances use quantized times
 // so tie-breaking is exercised, and the availability-aware entry point is
@@ -18,7 +18,7 @@
 
 #include "core/greedy_scheduler.hpp"
 #include "core/openshop_scheduler.hpp"
-#include "core/reference_schedulers.hpp"
+#include "oracles/reference_schedulers.hpp"
 #include "core/step_schedule.hpp"
 #include "util/rng.hpp"
 

@@ -1,6 +1,6 @@
 // Golden-trace tests: the workspace-backed, event-driven NetworkSimulator
 // must produce *bit-identical* results to the retained naive reference
-// implementation (sim/reference_simulator.hpp) — every event, time,
+// implementation (oracles/reference_simulator.hpp) — every event, time,
 // counter, and undelivered record compared with exact double equality,
 // across all three receive models, both arbitration modes, fault hooks,
 // static and drifting networks, 64 seeds, and P from 2 to 32.
@@ -19,7 +19,7 @@
 #include "core/schedule.hpp"
 #include "netmodel/directory.hpp"
 #include "netmodel/generator.hpp"
-#include "sim/reference_simulator.hpp"
+#include "oracles/reference_simulator.hpp"
 #include "sim/simulator.hpp"
 #include "trace/auditor.hpp"
 #include "workload/generators.hpp"

@@ -9,16 +9,15 @@
 
 #include "collectives/broadcast.hpp"
 #include "core/comm_matrix.hpp"
-#include "core/hierarchical_scheduler.hpp"
 #include "experiment/experiment.hpp"
 #include "experiment/fault_sweep.hpp"
 #include "experiment/sweep_io.hpp"
-#include "netmodel/cluster_detect.hpp"
 #include "fault/resilient.hpp"
 #include "core/schedule_stats.hpp"
 #include "core/scheduler.hpp"
 #include "netmodel/directory.hpp"
 #include "netmodel/generator.hpp"
+#include "scenario/resolve.hpp"
 #include "scenario/runner.hpp"
 #include "service/client.hpp"
 #include "service/replay.hpp"
@@ -31,7 +30,6 @@
 #include "trace/trace.hpp"
 #include "util/csv.hpp"
 #include "util/error.hpp"
-#include "util/rng.hpp"
 #include "util/table.hpp"
 #include "util/thread_pool.hpp"
 #include "workload/scenario.hpp"
@@ -109,10 +107,10 @@ usage:
       and export the trace: an ASCII timing diagram (default), Chrome
       trace_event JSON for chrome://tracing / Perfetto, or a metrics JSON
       summary. Fault options switch to the fault-tolerant executor
-      (serialized model only). --clusters/--hierarchical pick the
-      clustered network family and the hierarchical scheduler, as in
-      sweep. --audit replays the trace through the model-invariant
-      auditor and fails on any violation.
+      (serialized model only) and cannot be combined with --drift.
+      --clusters/--hierarchical pick the clustered network family and
+      the hierarchical scheduler, as in sweep. --audit replays the trace
+      through the model-invariant auditor and fails on any violation.
 
   hcs replay --socket PATH [--requests N] [--connections C]
              [--processors P] [--scenario NAME] [--algorithm NAME]
@@ -405,21 +403,6 @@ int cmd_simulate(const Options& options, std::ostream& out) {
   return 0;
 }
 
-/// Builds the scheduler for single-instance commands: the plain
-/// algorithm, or — with --hierarchical — that algorithm running inside
-/// the hierarchical scheduler over the network's detected clustering.
-std::unique_ptr<Scheduler> make_instance_scheduler(SchedulerKind kind,
-                                                   std::uint64_t seed,
-                                                   bool hierarchical,
-                                                   const NetworkModel& network) {
-  if (!hierarchical) return make_scheduler(kind, seed);
-  HierarchicalScheduler::Options options;
-  options.inner = kind;
-  options.seed = seed;
-  return std::make_unique<HierarchicalScheduler>(detect_clusters(network),
-                                                 options);
-}
-
 /// Builds the distributed dispatch options from --workers/--shard-units.
 /// Remote round trips are bounded by a generous fixed timeout — a shard
 /// is minutes of work at most; a daemon that silent for longer is gone.
@@ -667,6 +650,26 @@ int cmd_trace(const Options& options, std::ostream& out, std::ostream& err) {
   const long clusters = options.get_long("clusters", 0);
   if (clusters < 0) throw InputError("--clusters must be >= 0");
 
+  // The instance, its scheduler and its fault plan come from the scenario
+  // builders, as for a .scn file with the same [faults] section.
+  scenario::ScenarioSpec spec =
+      scenario::instance_spec(scenario, n, seed,
+                              static_cast<std::size_t>(clusters));
+  spec.algorithm = kind;
+  spec.hierarchical = options.has("hierarchical");
+  spec.crashes = static_cast<std::size_t>(crashes);
+  spec.cuts = static_cast<std::size_t>(cut_count);
+  spec.loss = loss;
+  spec.restarts = static_cast<std::size_t>(restart_count);
+  spec.flaps = static_cast<std::size_t>(flap_count);
+  spec.brownouts = static_cast<std::size_t>(brownout_count);
+  spec.brownout_factor = brownout_factor;
+  spec.replan = options.has("replan");
+  spec.has_faults = crashes > 0 || cut_count > 0 || loss > 0.0 ||
+                    restart_count > 0 || flap_count > 0 || brownout_count > 0;
+  if (spec.has_faults && sigma > 0.0)
+    throw InputError("--drift cannot be combined with fault options");
+
   SimOptions sim_options;
   if (model_name == "serialized") {
     sim_options.model = ReceiveModel::kSerialized;
@@ -678,13 +681,9 @@ int cmd_trace(const Options& options, std::ostream& out, std::ostream& err) {
     throw InputError("unknown receive model '" + model_name + "'");
   }
 
-  const ProblemInstance instance =
-      make_instance(scenario, n, seed, static_cast<std::size_t>(clusters));
-  const CommMatrix comm{instance.network, instance.messages};
-  const auto scheduler = make_instance_scheduler(
-      kind, seed, options.has("hierarchical"), instance.network);
-  const Schedule planned = scheduler->schedule(comm);
-  planned.validate(comm);
+  const scenario::ResolvedScenario resolved = scenario::resolve_scenario(spec);
+  const Schedule planned = resolved.scheduler->schedule(resolved.comm);
+  planned.validate(resolved.comm);
 
   // A total exchange records ~4 trace events per ordered pair (issue,
   // start, finish, delivery); size the ring so wide-P audits see every
@@ -692,49 +691,28 @@ int cmd_trace(const Options& options, std::ostream& out, std::ostream& err) {
   // is virtual until written.
   EventTrace trace{std::max<std::size_t>(std::size_t{1} << 16, 4 * n * n)};
   double completion = 0.0;
-  const bool faulty = crashes > 0 || cut_count > 0 || loss > 0.0 ||
-                      restart_count > 0 || flap_count > 0 ||
-                      brownout_count > 0;
   ResilientResult resilient_result;
-  if (faulty) {
+  if (spec.has_faults) {
     if (sim_options.model != ReceiveModel::kSerialized)
       throw InputError("fault options require --model serialized");
-    const StaticDirectory directory{instance.network};
-    FaultPlan plan;
-    plan.transient_loss_prob = loss;
-    plan.seed = seed;
-    Rng rng{seed ^ 0xFA17FA17ULL};
-    while (plan.cuts.size() < static_cast<std::size_t>(cut_count)) {
-      const auto a = static_cast<std::size_t>(rng.next_below(n));
-      const auto b = static_cast<std::size_t>(rng.next_below(n));
-      if (a == b) continue;
-      plan.cuts.push_back({a, b, 0.0, 1e12});
-    }
-    for (long k = 0; k < crashes; ++k)
-      plan.crashes.push_back(
-          {n - 1 - static_cast<std::size_t>(k),
-           0.25 * planned.completion_time() * static_cast<double>(k + 1)});
-    add_dynamic_faults(plan, n, seed, planned.completion_time(), restart_count,
-                       flap_count, brownout_count, brownout_factor);
-    ResilientOptions resilient_options;
-    if (options.has("replan"))
-      resilient_options.replan =
-          default_replan_policy(planned.completion_time());
+    const StaticDirectory directory{resolved.network};
+    const double horizon_s = planned.completion_time();
     resilient_result = run_resilient_traced(
-        *scheduler, directory, instance.messages, plan, resilient_options,
-        trace);
+        *resolved.scheduler, directory, resolved.messages,
+        scenario::make_fault_plan(spec, horizon_s),
+        scenario::make_resilient_options(spec, horizon_s), trace);
     completion = resilient_result.completion_time;
   } else if (sigma > 0.0) {
     DriftingDirectory::Options drift;
     drift.step_sigma = sigma;
-    const DriftingDirectory directory{instance.network, seed * 97, drift};
-    const NetworkSimulator simulator{directory, instance.messages};
+    const DriftingDirectory directory{resolved.network, seed * 97, drift};
+    const NetworkSimulator simulator{directory, resolved.messages};
     const SimResult result = simulator.run_traced(
         SendProgram::from_schedule(planned), sim_options, trace);
     completion = result.completion_time;
   } else {
-    const StaticDirectory directory{instance.network};
-    const NetworkSimulator simulator{directory, instance.messages};
+    const StaticDirectory directory{resolved.network};
+    const NetworkSimulator simulator{directory, resolved.messages};
     const SimResult result = simulator.run_traced(
         SendProgram::from_schedule(planned), sim_options, trace);
     completion = result.completion_time;
@@ -747,7 +725,7 @@ int cmd_trace(const Options& options, std::ostream& out, std::ostream& err) {
   } else if (format == "metrics") {
     MetricsRegistry metrics;
     trace_metrics(trace, completion, metrics);
-    if (faulty)
+    if (spec.has_faults)
       record_metrics(resilient_result, planned.completion_time(), metrics);
     metrics.write_json(out);
     out << '\n';
@@ -763,7 +741,8 @@ int cmd_trace(const Options& options, std::ostream& out, std::ostream& err) {
     // A faulty run's completion time includes give-up instants, which are
     // not port engagements; skip the completion cross-check there.
     const AuditReport report =
-        faulty ? auditor.audit(trace) : auditor.audit(trace, completion);
+        spec.has_faults ? auditor.audit(trace)
+                        : auditor.audit(trace, completion);
     if (!report.ok()) {
       err << "hcs trace: audit failed\n" << report.summary() << '\n';
       return 1;
