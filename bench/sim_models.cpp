@@ -14,10 +14,15 @@
 // BM_TraceAudit times the traced tail of a scenario run at wide P: a
 // fresh ring sized like run_scenario's, a traced simulation of a
 // clustered hierarchical(greedy) plan, and the audit replay.
+// BM_DriftQuery and BM_DriftSnapshot time the drifting directory the
+// simulator and hcsd query: every pair once at steps rising to 800 (a
+// drifting simulation's access pattern), and full snapshots at instants
+// 0..99 (hcsd's clock moving forward).
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "core/comm_matrix.hpp"
@@ -195,8 +200,54 @@ void BM_TraceAudit(benchmark::State& state) {
   state.SetComplexityN(state.range(0));
 }
 
+hcs::DriftingDirectory::Options drift_options() {
+  hcs::DriftingDirectory::Options options;
+  options.step_sigma = 0.1;
+  return options;
+}
+
+/// Every ordered pair queried once, at steps rising from 0 to 800, on a
+/// fresh directory per iteration.
+void BM_DriftQuery(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const hcs::NetworkModel network = hcs::generate_network(n, kSeed);
+  const double pairs = static_cast<double>(n * (n - 1));
+  for (auto _ : state) {
+    const hcs::DriftingDirectory directory{network, kSeed, drift_options()};
+    double sum = 0.0;
+    std::size_t k = 0;
+    for (std::size_t i = 0; i < n; ++i)
+      for (std::size_t j = 0; j < n; ++j) {
+        if (i == j) continue;
+        const double now_s = 800.0 * static_cast<double>(k++) / pairs;
+        sum += directory.query(i, j, now_s).bandwidth_Bps;
+      }
+    benchmark::DoNotOptimize(sum);
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(n * (n - 1)));
+}
+
+/// Snapshots at instants 0..99 in order, on a fresh directory per
+/// iteration; items are snapshots.
+void BM_DriftSnapshot(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const hcs::NetworkModel network = hcs::generate_network(n, kSeed);
+  constexpr int kInstants = 100;
+  for (auto _ : state) {
+    const hcs::DriftingDirectory directory{network, kSeed, drift_options()};
+    for (int t = 0; t < kInstants; ++t) {
+      const hcs::NetworkModel view = directory.snapshot(t);
+      benchmark::DoNotOptimize(view.link(0, 1).bandwidth_Bps);
+    }
+  }
+  state.SetItemsProcessed(state.iterations() * kInstants);
+}
+
 }  // namespace
 
+BENCHMARK(BM_DriftQuery)->Arg(96)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_DriftSnapshot)->Arg(64)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_SimSerialized)->RangeMultiplier(2)->Range(8, 128)->Complexity();
 BENCHMARK(BM_RefSimSerialized)->RangeMultiplier(2)->Range(8, 64)->Complexity();
 BENCHMARK(BM_SimInterleaved)->RangeMultiplier(2)->Range(8, 128)->Complexity();

@@ -2,6 +2,7 @@
 
 #include <array>
 #include <charconv>
+#include <cmath>
 #include <map>
 #include <sstream>
 #include <string>
@@ -295,9 +296,9 @@ void validate(const ScenarioSpec& spec, const RawScenario& raw) {
                         "sites must be in [2, processors], got " +
                             std::to_string(spec.sites));
   }
-  if (spec.drift_sigma < 0.0) {
+  if (!std::isfinite(spec.drift_sigma) || spec.drift_sigma < 0.0) {
     throw ScenarioError(at.of("topology.drift_sigma"),
-                        "drift_sigma must be >= 0");
+                        "drift_sigma must be finite and >= 0");
   }
   if (at.has("topology.drift_period_s")) {
     if (spec.drift_sigma <= 0.0) {
@@ -305,9 +306,9 @@ void validate(const ScenarioSpec& spec, const RawScenario& raw) {
           at.of("topology.drift_period_s"),
           "'drift_period_s' requires drift_sigma > 0");
     }
-    if (spec.drift_period_s <= 0.0) {
+    if (!std::isfinite(spec.drift_period_s) || spec.drift_period_s <= 0.0) {
       throw ScenarioError(at.of("topology.drift_period_s"),
-                          "drift_period_s must be > 0");
+                          "drift_period_s must be finite and > 0");
     }
   }
 

@@ -225,6 +225,39 @@ TEST(Cli, SimulateRejectsNegativeDrift) {
   EXPECT_EQ(result.exit_code, 1);
 }
 
+TEST(Cli, SimulateRejectsNonFiniteDrift) {
+  for (const char* sigma : {"nan", "inf"}) {
+    const CliRun result =
+        run({"simulate", "--processors", "6", "--drift", sigma});
+    EXPECT_EQ(result.exit_code, 1) << sigma;
+    EXPECT_NE(result.err.find("--drift must be finite"), std::string::npos)
+        << result.err;
+  }
+}
+
+TEST(Cli, TraceRejectsNonFiniteDrift) {
+  for (const char* sigma : {"nan", "inf", "-0.5"}) {
+    const CliRun result = run({"trace", "--processors", "6", "--drift", sigma,
+                               "--format", "metrics"});
+    EXPECT_EQ(result.exit_code, 1) << sigma;
+    EXPECT_NE(result.err.find("--drift must be finite"), std::string::npos)
+        << result.err;
+  }
+}
+
+TEST(Cli, DriftOptionsRejectNonFinitePeriod) {
+  for (const char* period : {"nan", "inf", "0"}) {
+    const cli::Options options({"--drift", "0.1", "--drift-period", period},
+                               0, {"drift", "drift-period"});
+    EXPECT_THROW((void)cli::drift_options(options, 0.0), InputError) << period;
+  }
+  const cli::Options fine({"--drift", "0.3", "--drift-period", "2"}, 0,
+                          {"drift", "drift-period"});
+  const DriftingDirectory::Options drift = cli::drift_options(fine, 0.0);
+  EXPECT_EQ(drift.step_sigma, 0.3);
+  EXPECT_EQ(drift.update_period_s, 2.0);
+}
+
 TEST(Cli, FaultSweepReportsDeliveryMix) {
   const CliRun result = run({"fault-sweep", "--processors", "5", "--seed", "2",
                              "--max-crashes", "1", "--cuts", "1"});

@@ -350,6 +350,18 @@ TEST(ScenarioReject, CorpusProducesLineNumberedDiagnostics) {
        "[scenario]\nname = a\n[topology]\nfamily = clustered\n"
        "processors = 4\nsites = 9\n",
        6, "sites must be in [2, processors]"},
+      {"nan-drift-sigma",
+       "[scenario]\nname = a\n[topology]\nprocessors = 8\n"
+       "drift_sigma = nan\n",
+       5, "drift_sigma must be finite and >= 0"},
+      {"infinite-drift-sigma",
+       "[scenario]\nname = a\n[topology]\nprocessors = 8\n"
+       "drift_sigma = inf\n",
+       5, "drift_sigma must be finite and >= 0"},
+      {"nan-drift-period",
+       "[scenario]\nname = a\n[topology]\nprocessors = 8\n"
+       "drift_sigma = 0.1\ndrift_period_s = nan\n",
+       6, "drift_period_s must be finite and > 0"},
       {"period-without-sigma",
        "[scenario]\nname = a\n[topology]\nprocessors = 8\n"
        "drift_period_s = 1\n",

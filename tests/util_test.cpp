@@ -93,6 +93,68 @@ TEST(Rng, NormalMomentsMatch) {
   EXPECT_NEAR(stats.stddev(), 3.0, 0.05);
 }
 
+TEST(NormalQuantile, InvertsTheNormalCdf) {
+  // Φ(z) = erfc(-z/√2)/2; in the lower tail erfc keeps full relative
+  // precision, so Φ(Φ⁻¹(p)) must return p to ~1e-13 even at 1e-300.
+  for (const double p : {1e-300, 1e-20, 1e-8, 1e-3, 0.025, 0.074, 0.076,
+                         0.2, 0.4999, 0.5}) {
+    const double z = normal_quantile(p);
+    EXPECT_NEAR(0.5 * std::erfc(-z / std::sqrt(2.0)), p, 1e-13 * p) << p;
+  }
+  // Where 1 - p is exact, the upper half mirrors the lower one exactly.
+  for (const double p : {0x1.0p-40, 0x1.0p-20, 0.125, 0.25})
+    EXPECT_EQ(normal_quantile(1.0 - p), -normal_quantile(p)) << p;
+  EXPECT_EQ(normal_quantile(0.5), 0.0);
+  EXPECT_NEAR(normal_quantile(0.975), 1.959963984540054, 1e-15);
+}
+
+TEST(CounterNormal, MomentsAndTailsMatchTheNormalLaw) {
+  const CounterNormal normal;
+  RunningStats stats;
+  double fourth = 0.0;
+  int beyond_2 = 0;
+  int beyond_3 = 0;
+  constexpr int kDraws = 1'000'000;
+  for (int i = 0; i < kDraws; ++i) {
+    const double z = normal(counter_hash(77, static_cast<std::uint64_t>(i)));
+    stats.add(z);
+    fourth += z * z * z * z;
+    if (std::abs(z) > 2.0) ++beyond_2;
+    if (std::abs(z) > 3.0) ++beyond_3;
+  }
+  // Bounds are ~4 standard errors at 1e6 draws.
+  EXPECT_NEAR(stats.mean(), 0.0, 0.004);
+  EXPECT_NEAR(stats.stddev(), 1.0, 0.003);
+  EXPECT_NEAR(fourth / kDraws, 3.0, 0.04);
+  EXPECT_NEAR(beyond_2, 0.0455003 * kDraws, 4 * 208);
+  EXPECT_NEAR(beyond_3, 0.0026998 * kDraws, 4 * 52);
+}
+
+TEST(CounterNormal, IsAntisymmetricFiniteAndExactInTheTails) {
+  const CounterNormal normal;
+  Rng rng{3};
+  for (int i = 0; i < 10'000; ++i) {
+    const std::uint64_t bits = rng.next_u64();
+    const double z = normal(bits);
+    EXPECT_TRUE(std::isfinite(z));
+    EXPECT_NEAR(normal(~bits), -z, 1e-14 * (1.0 + std::abs(z)));
+  }
+  // The outer cells (top 12 bits all 0 or all 1) invert exactly.
+  EXPECT_EQ(normal(0), normal_quantile(0.5 * 0x1.0p-53));
+  EXPECT_EQ(normal(~std::uint64_t{0}), -normal_quantile(0.5 * 0x1.0p-53));
+  const std::uint64_t lower_tail = std::uint64_t{123456789} << 20;
+  EXPECT_EQ(normal(lower_tail),
+            normal_quantile((static_cast<double>(lower_tail >> 11) + 0.5) *
+                            0x1.0p-53));
+  // Interior cells interpolate between the cell's quantiles.
+  const std::uint64_t cell_start = std::uint64_t{100} << 52;
+  EXPECT_NEAR(normal(cell_start), normal_quantile(100.0 / 4096.0), 1e-12);
+  EXPECT_GT(normal(cell_start + (std::uint64_t{1} << 51)),
+            normal_quantile(100.0 / 4096.0));
+  EXPECT_LT(normal(cell_start + (std::uint64_t{1} << 51)),
+            normal_quantile(101.0 / 4096.0));
+}
+
 TEST(Rng, LognormalIsPositive) {
   Rng rng{15};
   for (int i = 0; i < 10'000; ++i) EXPECT_GT(rng.lognormal(0.0, 1.0), 0.0);

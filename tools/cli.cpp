@@ -1,6 +1,7 @@
 #include "tools/cli.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdlib>
 #include <istream>
 #include <memory>
@@ -371,8 +372,8 @@ int cmd_simulate(const Options& options, std::ostream& out) {
   const Scenario scenario = parse_scenario(options.get("scenario", "mixed"));
   const SchedulerKind kind =
       parse_algorithm(options.get("algorithm", "openshop"));
-  const double sigma = options.get_double("drift", 0.2);
-  if (sigma < 0.0) throw InputError("--drift must be non-negative");
+  const DriftingDirectory::Options drift = drift_options(options, 0.2);
+  const double sigma = drift.step_sigma;
 
   const ProblemInstance instance = make_instance(scenario, n, seed);
   const CommMatrix comm{instance.network, instance.messages};
@@ -380,8 +381,6 @@ int cmd_simulate(const Options& options, std::ostream& out) {
   const Schedule planned = scheduler->schedule(comm);
   planned.validate(comm);
 
-  DriftingDirectory::Options drift;
-  drift.step_sigma = sigma;
   const DriftingDirectory directory{instance.network, seed * 97, drift};
   const NetworkSimulator simulator{directory, instance.messages};
   const SimResult actual =
@@ -627,8 +626,8 @@ int cmd_trace(const Options& options, std::ostream& out, std::ostream& err) {
   const std::string model_name = options.get("model", "serialized");
   const long rows = options.get_long("rows", 24);
   if (rows < 1) throw InputError("--rows must be >= 1");
-  const double sigma = options.get_double("drift", 0.0);
-  if (sigma < 0.0) throw InputError("--drift must be non-negative");
+  const DriftingDirectory::Options drift = drift_options(options, 0.0);
+  const double sigma = drift.step_sigma;
   const long crashes = options.get_long("crashes", 0);
   const long cut_count = options.get_long("cuts", 0);
   const double loss = options.get_double("loss", 0.0);
@@ -703,8 +702,6 @@ int cmd_trace(const Options& options, std::ostream& out, std::ostream& err) {
         scenario::make_resilient_options(spec, horizon_s), trace);
     completion = resilient_result.completion_time;
   } else if (sigma > 0.0) {
-    DriftingDirectory::Options drift;
-    drift.step_sigma = sigma;
     const DriftingDirectory directory{resolved.network, seed * 97, drift};
     const NetworkSimulator simulator{directory, resolved.messages};
     const SimResult result = simulator.run_traced(
@@ -880,6 +877,18 @@ double Options::get_double(const std::string& key, double fallback) const {
   if (end == value.c_str() || *end != '\0')
     throw InputError("option --" + key + " expects a number");
   return parsed;
+}
+
+DriftingDirectory::Options drift_options(const Options& options,
+                                         double default_sigma) {
+  DriftingDirectory::Options drift;
+  drift.step_sigma = options.get_double("drift", default_sigma);
+  if (!std::isfinite(drift.step_sigma) || drift.step_sigma < 0.0)
+    throw InputError("--drift must be finite and non-negative");
+  drift.update_period_s = options.get_double("drift-period", 1.0);
+  if (!std::isfinite(drift.update_period_s) || drift.update_period_s <= 0.0)
+    throw InputError("--drift-period must be finite and positive");
+  return drift;
 }
 
 int run_cli(const std::vector<std::string>& args, std::istream& in,

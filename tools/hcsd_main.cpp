@@ -109,8 +109,9 @@ int main(int argc, char** argv) {
     const auto seed = static_cast<std::uint64_t>(options.get_long("seed", 1));
     const auto clusters =
         static_cast<std::size_t>(options.get_long("clusters", 0));
-    const double drift_sigma = options.get_double("drift", 0.0);
-    if (drift_sigma < 0.0) throw hcs::InputError("--drift must be >= 0");
+    const hcs::DriftingDirectory::Options drift =
+        hcs::cli::drift_options(options, 0.0);
+    const double drift_sigma = drift.step_sigma;
 
     hcs::NetworkModel base = [&] {
       if (clusters > 0) {
@@ -123,11 +124,6 @@ int main(int argc, char** argv) {
 
     std::unique_ptr<hcs::DirectoryService> directory;
     if (drift_sigma > 0.0) {
-      hcs::DriftingDirectory::Options drift;
-      drift.step_sigma = drift_sigma;
-      drift.update_period_s = options.get_double("drift-period", 1.0);
-      if (!(drift.update_period_s > 0.0))
-        throw hcs::InputError("--drift-period must be positive");
       directory = std::make_unique<hcs::DriftingDirectory>(std::move(base),
                                                            seed * 97, drift);
     } else {
