@@ -1,4 +1,5 @@
-// Hierarchical-vs-flat scheduling benchmarks (ISSUE 6 tentpole).
+// Hierarchical-vs-flat scheduling benchmarks, and the pipeline stages
+// that follow a wide hierarchical schedule.
 //
 // The flat schedulers price all P² events against the full directory —
 // O(P³) and up — which tops out in the low hundreds of processors. The
@@ -10,6 +11,11 @@
 // setup — the makespan cost of hierarchy, reported as the counter
 // `hier_vs_flat_makespan` (hierarchical completion / flat completion;
 // 1.0 means free, lower is better).
+//
+// BM_ScheduleValidate and BM_SendProgramFromSchedule time the two stages
+// between scheduling and simulation on the same hierarchical(greedy)
+// plans: the §3.4 validity check and the per-port send/receive orders.
+// Both stream the schedule's events once; at P = 1024 that is ~1M events.
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
@@ -19,6 +25,7 @@
 #include "core/scheduler.hpp"
 #include "netmodel/cluster_detect.hpp"
 #include "netmodel/generator.hpp"
+#include "sim/send_program.hpp"
 #include "workload/generators.hpp"
 
 namespace {
@@ -81,6 +88,38 @@ void BM_FlatSchedule(benchmark::State& state) {
   state.SetComplexityN(state.range(0));
 }
 
+hcs::Schedule hierarchical_plan(const hcs::NetworkModel& network,
+                                const hcs::CommMatrix& comm) {
+  hcs::HierarchicalScheduler::Options options;
+  options.inner = hcs::SchedulerKind::kGreedy;
+  return hcs::HierarchicalScheduler{hcs::detect_clusters(network), options}
+      .schedule(comm);
+}
+
+void BM_ScheduleValidate(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const hcs::NetworkModel network = clustered_network(n);
+  const hcs::CommMatrix comm = clustered_comm(network);
+  const hcs::Schedule schedule = hierarchical_plan(network, comm);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(schedule.first_violation(comm));
+  }
+  state.SetComplexityN(state.range(0));
+  state.counters["events"] = static_cast<double>(schedule.events().size());
+}
+
+void BM_SendProgramFromSchedule(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const hcs::NetworkModel network = clustered_network(n);
+  const hcs::Schedule schedule =
+      hierarchical_plan(network, clustered_comm(network));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(hcs::SendProgram::from_schedule(schedule));
+  }
+  state.SetComplexityN(state.range(0));
+  state.counters["events"] = static_cast<double>(schedule.events().size());
+}
+
 }  // namespace
 
 BENCHMARK(BM_ClusterDetect)->RangeMultiplier(2)->Range(64, 1024)->Complexity();
@@ -91,5 +130,15 @@ BENCHMARK(BM_HierarchicalSchedule)
 // The flat side stops at 512: that is the point of the hierarchy — the
 // same bench at 1024 would dominate the suite's wall clock.
 BENCHMARK(BM_FlatSchedule)->RangeMultiplier(2)->Range(64, 512)->Complexity();
+BENCHMARK(BM_ScheduleValidate)
+    ->RangeMultiplier(2)
+    ->Range(256, 1024)
+    ->Unit(benchmark::kMillisecond)
+    ->Complexity();
+BENCHMARK(BM_SendProgramFromSchedule)
+    ->RangeMultiplier(2)
+    ->Range(256, 1024)
+    ->Unit(benchmark::kMillisecond)
+    ->Complexity();
 
 BENCHMARK_MAIN();

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <sstream>
+#include <tuple>
 
 #include "util/error.hpp"
 
@@ -27,87 +29,100 @@ double Schedule::completion_time() const {
   return latest;
 }
 
-namespace {
+PortStream::PortStream(const Schedule& schedule, PortSide side)
+    : schedule_(&schedule),
+      side_(side),
+      last_(schedule.processor_count(),
+            ScheduledEvent{0, 0, -std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity()}),
+      flagged_(schedule.processor_count(), 0) {}
 
-std::vector<ScheduledEvent> filtered_sorted(
-    const std::vector<ScheduledEvent>& events, bool by_sender,
-    std::size_t processor) {
-  std::vector<ScheduledEvent> result;
-  for (const ScheduledEvent& event : events)
-    if ((by_sender ? event.src : event.dst) == processor)
-      result.push_back(event);
-  std::sort(result.begin(), result.end(),
-            [](const ScheduledEvent& a, const ScheduledEvent& b) {
-              return a.start_s < b.start_s ||
-                     (a.start_s == b.start_s && a.finish_s < b.finish_s);
-            });
-  return result;
+PortOrder PortStream::flagged_order() const {
+  return schedule_->port_order(side_, flagged_);
 }
 
-}  // namespace
-
-PortOrder Schedule::port_order(PortSide side) const {
+PortOrder Schedule::port_order(PortSide side,
+                               std::span<const unsigned char> ports) const {
+  check(ports.size() == processor_count_, "Schedule: port mask size mismatch");
   const auto port_of = [side](const ScheduledEvent& event) {
     return side == PortSide::kSend ? event.src : event.dst;
   };
   PortOrder order;
   order.offsets.assign(processor_count_ + 1, 0);
-  for (const ScheduledEvent& event : events_) ++order.offsets[port_of(event) + 1];
+  if (std::all_of(ports.begin(), ports.end(),
+                  [](unsigned char wanted) { return wanted == 0; }))
+    return order;
+  for (const ScheduledEvent& event : events_)
+    if (ports[port_of(event)] != 0) ++order.offsets[port_of(event) + 1];
   for (std::size_t p = 0; p < processor_count_; ++p)
     order.offsets[p + 1] += order.offsets[p];
-  order.events.resize(events_.size());
+  order.events.resize(order.offsets.back());
   std::vector<std::size_t> next(order.offsets.begin(), order.offsets.end() - 1);
-  for (std::size_t e = 0; e < events_.size(); ++e)
-    order.events[next[port_of(events_[e])]++] = e;
-  // The scatter keeps schedule order within a port, so the index
-  // tiebreak makes this a stable sort by (start, finish). Schedulers emit
-  // most ports already in order; those skip the sort.
+  for (std::size_t e = 0; e < events_.size(); ++e) {
+    const std::size_t port = port_of(events_[e]);
+    if (ports[port] != 0) order.events[next[port]++] = e;
+  }
   const auto earlier = [this](std::size_t a, std::size_t b) {
-    const ScheduledEvent& x = events_[a];
-    const ScheduledEvent& y = events_[b];
-    if (x.start_s != y.start_s) return x.start_s < y.start_s;
-    if (x.finish_s != y.finish_s) return x.finish_s < y.finish_s;
-    return a < b;
+    if (earlier_on_port(events_[a], events_[b])) return true;
+    return !earlier_on_port(events_[b], events_[a]) && a < b;
   };
   for (std::size_t p = 0; p < processor_count_; ++p) {
     const auto first = order.events.begin() +
                        static_cast<std::ptrdiff_t>(order.offsets[p]);
     const auto last = order.events.begin() +
                       static_cast<std::ptrdiff_t>(order.offsets[p + 1]);
-    if (!std::is_sorted(first, last, earlier)) std::sort(first, last, earlier);
+    std::sort(first, last, earlier);
   }
   return order;
 }
 
+namespace {
+
+std::vector<ScheduledEvent> port_events(const Schedule& schedule,
+                                        PortSide side, std::size_t port) {
+  std::vector<unsigned char> wanted(schedule.processor_count(), 0);
+  wanted[port] = 1;
+  const PortOrder order = schedule.port_order(side, wanted);
+  std::vector<ScheduledEvent> result;
+  for (const std::size_t e : order.of(port))
+    result.push_back(schedule.events()[e]);
+  return result;
+}
+
+}  // namespace
+
 std::vector<ScheduledEvent> Schedule::sender_events(std::size_t src) const {
   check(src < processor_count_, "Schedule: sender out of range");
-  return filtered_sorted(events_, /*by_sender=*/true, src);
+  return port_events(*this, PortSide::kSend, src);
 }
 
 std::vector<ScheduledEvent> Schedule::receiver_events(std::size_t dst) const {
   check(dst < processor_count_, "Schedule: receiver out of range");
-  return filtered_sorted(events_, /*by_sender=*/false, dst);
+  return port_events(*this, PortSide::kReceive, dst);
 }
 
 std::vector<ProcessorIdle> Schedule::idle_profile() const {
   std::vector<ProcessorIdle> profile(processor_count_);
-  const auto accumulate = [this](std::span<const std::size_t> port,
-                                 double& busy, double& idle) {
-    double cursor = 0.0;
-    for (const std::size_t e : port) {
-      const ScheduledEvent& event = events_[e];
-      busy += event.duration();
-      if (event.start_s > cursor) idle += event.start_s - cursor;
-      cursor = std::max(cursor, event.finish_s);
-    }
+  // Each port's time cursor: the latest finish it has seen.
+  std::vector<double> send_cursor(processor_count_, 0.0);
+  std::vector<double> recv_cursor(processor_count_, 0.0);
+  const auto port_state = [&](PortSide side, std::size_t port) {
+    ProcessorIdle& row = profile[port];
+    return side == PortSide::kSend
+               ? std::tie(row.send_busy_s, row.send_idle_s, send_cursor[port])
+               : std::tie(row.recv_busy_s, row.recv_idle_s, recv_cursor[port]);
   };
-  const PortOrder by_sender = port_order(PortSide::kSend);
-  const PortOrder by_receiver = port_order(PortSide::kReceive);
-  for (std::size_t p = 0; p < processor_count_; ++p) {
-    accumulate(by_sender.of(p), profile[p].send_busy_s, profile[p].send_idle_s);
-    accumulate(by_receiver.of(p), profile[p].recv_busy_s,
-               profile[p].recv_idle_s);
-  }
+  for_each_in_port_order(
+      [&](PortSide side, std::size_t port, const ScheduledEvent& event) {
+        auto [busy, idle, cursor] = port_state(side, port);
+        busy += event.duration();
+        if (event.start_s > cursor) idle += event.start_s - cursor;
+        cursor = std::max(cursor, event.finish_s);
+      },
+      [&](PortSide side, std::size_t port) {
+        auto [busy, idle, cursor] = port_state(side, port);
+        busy = idle = cursor = 0.0;
+      });
   return profile;
 }
 
@@ -143,25 +158,38 @@ std::optional<std::string> Schedule::first_violation(const CommMatrix& comm,
   if (comm.processor_count() != n)
     return "schedule and communication matrix sizes differ";
 
-  // Coverage: exactly one event per ordered pair of distinct processors.
-  Matrix<int> covered(n, n, 0);
+  // One pass checks coverage (exactly one event per ordered pair of
+  // distinct processors), start times and durations, and streams every
+  // port-occupying event past its two ports. A port the streams leave
+  // unflagged is in port order with no overlap, so only flagged ports are
+  // sorted and scanned below — in the order a scan of every port would
+  // reach them, so the first diagnostic is the same.
+  std::vector<unsigned char> covered(n * n, 0);
+  PortStream sends(*this, PortSide::kSend);
+  PortStream receives(*this, PortSide::kReceive);
   for (const ScheduledEvent& event : events_) {
     if (event.src == event.dst) return "self-message scheduled";
     if (event.start_s < -tolerance) return "event starts before time zero";
-    if (covered(event.src, event.dst) != 0)
+    unsigned char& seen = covered[event.src * n + event.dst];
+    if (seen != 0)
       return "duplicate event for a processor pair (message splitting?)";
-    covered(event.src, event.dst) = 1;
+    seen = 1;
     const double expected = comm.time(event.src, event.dst);
     if (std::abs(event.duration() - expected) >
         tolerance * std::max(1.0, expected))
       return "event duration does not match the communication matrix";
+    // Zero-duration events occupy no port time; they cannot overlap.
+    if (event.duration() > tolerance) {
+      sends.feed_checking_overlap(event, tolerance);
+      receives.feed_checking_overlap(event, tolerance);
+    }
   }
   std::size_t expected_events = n * (n - 1);
   if (events_.size() != expected_events)
     return "schedule does not cover every processor pair exactly once";
 
-  const PortOrder by_sender = port_order(PortSide::kSend);
-  const PortOrder by_receiver = port_order(PortSide::kReceive);
+  const PortOrder by_sender = sends.flagged_order();
+  const PortOrder by_receiver = receives.flagged_order();
   for (std::size_t p = 0; p < n; ++p) {
     if (auto overlap =
             find_overlap(events_, by_sender.of(p), tolerance, "send", p))

@@ -17,19 +17,26 @@ ScheduleStats analyze_schedule(const Schedule& schedule, const CommMatrix& comm)
   stats.ratio_to_lower_bound =
       stats.lower_bound_s > 0.0 ? stats.completion_s / stats.lower_bound_s : 1.0;
 
+  stats.processors.resize(n);
+  for (std::size_t p = 0; p < n; ++p) stats.processors[p].processor = p;
+  // Busy times sum in port order; a re-visited port restarts its sum, and
+  // the latest finish is a max, which a re-visit leaves unchanged.
+  schedule.for_each_in_port_order(
+      [&stats](PortSide side, std::size_t port, const ScheduledEvent& event) {
+        ProcessorStats& row = stats.processors[port];
+        (side == PortSide::kSend ? row.send_busy_s : row.recv_busy_s) +=
+            event.duration();
+        row.last_active_s = std::max(row.last_active_s, event.finish_s);
+      },
+      [&stats](PortSide side, std::size_t port) {
+        ProcessorStats& row = stats.processors[port];
+        (side == PortSide::kSend ? row.send_busy_s : row.recv_busy_s) = 0.0;
+      });
+
   double bottleneck_total = -1.0;
   double utilization_sum = 0.0;
   for (std::size_t p = 0; p < n; ++p) {
-    ProcessorStats row;
-    row.processor = p;
-    for (const ScheduledEvent& event : schedule.sender_events(p)) {
-      row.send_busy_s += event.duration();
-      row.last_active_s = std::max(row.last_active_s, event.finish_s);
-    }
-    for (const ScheduledEvent& event : schedule.receiver_events(p)) {
-      row.recv_busy_s += event.duration();
-      row.last_active_s = std::max(row.last_active_s, event.finish_s);
-    }
+    ProcessorStats& row = stats.processors[p];
     if (stats.completion_s > 0.0) {
       row.send_utilization = row.send_busy_s / stats.completion_s;
       row.recv_utilization = row.recv_busy_s / stats.completion_s;
@@ -41,7 +48,6 @@ ScheduleStats analyze_schedule(const Schedule& schedule, const CommMatrix& comm)
       bottleneck_total = port_total;
       stats.bottleneck_processor = p;
     }
-    stats.processors.push_back(row);
   }
   stats.mean_utilization =
       n > 0 ? utilization_sum / (2.0 * static_cast<double>(n)) : 0.0;

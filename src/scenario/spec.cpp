@@ -360,9 +360,9 @@ void validate(const ScenarioSpec& spec, const RawScenario& raw) {
 
   // QoS.
   if (spec.has_qos) {
-    if (spec.deadline_factor <= 0.0) {
+    if (!std::isfinite(spec.deadline_factor) || spec.deadline_factor <= 0.0) {
       throw ScenarioError(at.of("qos.deadline_factor"),
-                          "deadline_factor must be > 0");
+                          "deadline_factor must be > 0 and finite");
     }
     const std::size_t pair_limit =
         spec.processors * (spec.processors - 1);
@@ -378,13 +378,13 @@ void validate(const ScenarioSpec& spec, const RawScenario& raw) {
                                              "' requires tight_pairs > 0");
       }
     }
-    if (spec.tight_factor <= 0.0) {
+    if (!std::isfinite(spec.tight_factor) || spec.tight_factor <= 0.0) {
       throw ScenarioError(at.of("qos.tight_factor"),
-                          "tight_factor must be > 0");
+                          "tight_factor must be > 0 and finite");
     }
-    if (spec.tight_priority <= 0.0) {
+    if (!std::isfinite(spec.tight_priority) || spec.tight_priority <= 0.0) {
       throw ScenarioError(at.of("qos.tight_priority"),
-                          "tight_priority must be > 0");
+                          "tight_priority must be > 0 and finite");
     }
   }
 
@@ -402,7 +402,7 @@ void validate(const ScenarioSpec& spec, const RawScenario& raw) {
           "(limit " +
               std::to_string(spec.processors - 2) + ")");
     }
-    if (spec.loss < 0.0 || spec.loss >= 1.0) {
+    if (!std::isfinite(spec.loss) || spec.loss < 0.0 || spec.loss >= 1.0) {
       throw ScenarioError(at.of("faults.loss"),
                           "loss must be in [0, 1)");
     }
@@ -410,7 +410,8 @@ void validate(const ScenarioSpec& spec, const RawScenario& raw) {
       throw ScenarioError(at.of("faults.brownout_factor"),
                           "'brownout_factor' requires brownouts > 0");
     }
-    if (spec.brownout_factor <= 0.0 || spec.brownout_factor > 1.0) {
+    if (!std::isfinite(spec.brownout_factor) ||
+        spec.brownout_factor <= 0.0 || spec.brownout_factor > 1.0) {
       throw ScenarioError(at.of("faults.brownout_factor"),
                           "brownout_factor must be in (0, 1]");
     }
@@ -427,9 +428,11 @@ void validate(const ScenarioSpec& spec, const RawScenario& raw) {
   }
 
   // Expectations.
-  if (at.has("expect.max_ratio_to_lb") && spec.expect_max_ratio <= 0.0) {
+  if (at.has("expect.max_ratio_to_lb") &&
+      (!std::isfinite(spec.expect_max_ratio) ||
+       spec.expect_max_ratio <= 0.0)) {
     throw ScenarioError(at.of("expect.max_ratio_to_lb"),
-                        "max_ratio_to_lb must be > 0");
+                        "max_ratio_to_lb must be > 0 and finite");
   }
   if (spec.expect_deadlines_met && !spec.has_qos) {
     throw ScenarioError(at.of("expect.deadlines_met"),

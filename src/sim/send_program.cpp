@@ -37,34 +37,51 @@ SendProgram::SendProgram(std::vector<std::vector<std::size_t>> orders,
   });
 }
 
-namespace {
-
-// One side's orders: for each port, the far ends of its events in port
-// order, keeping only the events whose pair `keep` marks (all of them
-// when `keep` is null).
-std::vector<std::vector<std::size_t>> port_orders(
-    const Schedule& schedule, PortSide side,
-    const Matrix<unsigned char>* keep) {
-  const std::vector<ScheduledEvent>& events = schedule.events();
-  const PortOrder order = schedule.port_order(side);
-  std::vector<std::vector<std::size_t>> orders(schedule.processor_count());
-  for (std::size_t p = 0; p < orders.size(); ++p) {
-    const auto port = order.of(p);
-    orders[p].reserve(port.size());
-    for (const std::size_t e : port) {
-      const ScheduledEvent& event = events[e];
-      if (keep != nullptr && (*keep)(event.src, event.dst) == 0) continue;
-      orders[p].push_back(side == PortSide::kSend ? event.dst : event.src);
-    }
-  }
-  return orders;
+SendProgram::SendProgram(Mirrored,
+                         std::vector<std::vector<std::size_t>> orders,
+                         std::vector<std::vector<std::size_t>> recv_orders)
+    : SendProgram(std::move(orders)) {
+  // The receive side lists the same events, so the send side's range and
+  // self-message checks cover it.
+  recv_orders_ = std::move(recv_orders);
 }
 
-}  // namespace
+SendProgram SendProgram::from_events(const Schedule& schedule,
+                                     const Matrix<unsigned char>* keep) {
+  const std::size_t n = schedule.processor_count();
+  const auto kept = [keep](const ScheduledEvent& event) {
+    return keep == nullptr || (*keep)(event.src, event.dst) != 0;
+  };
+  // A counting pass sizes every list exactly.
+  std::vector<std::size_t> send_count(n, 0);
+  std::vector<std::size_t> recv_count(n, 0);
+  for (const ScheduledEvent& event : schedule.events()) {
+    if (!kept(event)) continue;
+    ++send_count[event.src];
+    ++recv_count[event.dst];
+  }
+  std::vector<std::vector<std::size_t>> orders(n);
+  std::vector<std::vector<std::size_t>> recv_orders(n);
+  for (std::size_t p = 0; p < n; ++p) {
+    orders[p].reserve(send_count[p]);
+    recv_orders[p].reserve(recv_count[p]);
+  }
+  schedule.for_each_in_port_order(
+      [&](PortSide side, std::size_t port, const ScheduledEvent& event) {
+        if (!kept(event)) return;
+        if (side == PortSide::kSend)
+          orders[port].push_back(event.dst);
+        else
+          recv_orders[port].push_back(event.src);
+      },
+      [&](PortSide side, std::size_t port) {
+        (side == PortSide::kSend ? orders : recv_orders)[port].clear();
+      });
+  return SendProgram{Mirrored{}, std::move(orders), std::move(recv_orders)};
+}
 
 SendProgram SendProgram::from_schedule(const Schedule& schedule) {
-  return SendProgram{port_orders(schedule, PortSide::kSend, nullptr),
-                     port_orders(schedule, PortSide::kReceive, nullptr)};
+  return from_events(schedule, nullptr);
 }
 
 SendProgram SendProgram::from_schedule(const Schedule& schedule,
@@ -72,8 +89,7 @@ SendProgram SendProgram::from_schedule(const Schedule& schedule,
   const std::size_t n = schedule.processor_count();
   if (remaining.rows() != n || remaining.cols() != n)
     throw InputError("SendProgram: remaining mask does not match schedule");
-  return SendProgram{port_orders(schedule, PortSide::kSend, &remaining),
-                     port_orders(schedule, PortSide::kReceive, &remaining)};
+  return from_events(schedule, &remaining);
 }
 
 SendProgram SendProgram::from_steps(const StepSchedule& steps) {

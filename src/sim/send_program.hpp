@@ -36,8 +36,8 @@ class SendProgram {
   SendProgram(std::vector<std::vector<std::size_t>> orders,
               std::vector<std::vector<std::size_t>> recv_orders);
 
-  /// Orders from a timed schedule: per-sender events by start time, and
-  /// per-receiver events by start time.
+  /// Orders from a timed schedule: per-sender and per-receiver events in
+  /// port order (Schedule::port_order).
   [[nodiscard]] static SendProgram from_schedule(const Schedule& schedule);
 
   /// Orders of only the events whose pair is nonzero in `remaining` (a
@@ -74,6 +74,18 @@ class SendProgram {
   [[nodiscard]] std::size_t event_count() const;
 
  private:
+  struct Mirrored {};
+  /// Send and receive orders listed from the same events, so they hold
+  /// the same multiset by construction: checked like the one-list
+  /// constructor, without the two-list constructor's P×P recount.
+  SendProgram(Mirrored, std::vector<std::vector<std::size_t>> orders,
+              std::vector<std::vector<std::size_t>> recv_orders);
+
+  /// Both overloads of from_schedule(): one pass over the schedule's
+  /// events, keeping those whose pair `keep` marks (all when null).
+  [[nodiscard]] static SendProgram from_events(
+      const Schedule& schedule, const Matrix<unsigned char>* keep);
+
   std::vector<std::vector<std::size_t>> orders_;
   std::vector<std::vector<std::size_t>> recv_orders_;  ///< empty = FIFO
 };

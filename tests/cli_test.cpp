@@ -641,15 +641,38 @@ TEST(Cli, ReplayValidatesArrivalArguments) {
             1);
 }
 
-// Byte-exact CLI output for the fault-sweep and trace pipelines. Each
-// case's stdout is pinned to tests/golden/cli/<name>.txt; a refactor of
-// how instances, schedulers and fault plans are built must leave every
-// byte alone. Regenerate after an intentional output change with
+// Byte-exact CLI output for the fault-sweep, trace and schedule-statistics
+// pipelines. Each case's stdout is pinned to tests/golden/cli/<name>.txt;
+// a refactor of how instances, schedulers, fault plans and schedule
+// analyses are built must leave every byte alone. Regenerate after an
+// intentional output change with
 //   HCS_UPDATE_GOLDEN=1 ./tests/cli_test --gtest_filter='CliGolden.*'
 struct GoldenCase {
   std::string name;
   std::vector<std::string> args;
+  std::string input = "";
 };
+
+void expect_golden(const GoldenCase& entry) {
+  const std::string& name = entry.name;
+  SCOPED_TRACE(name);
+  const CliRun result = run(entry.args, entry.input);
+  ASSERT_EQ(result.exit_code, 0) << result.err;
+  const std::string path = std::string(HCS_CLI_GOLDEN_DIR) + "/" + name +
+                           ".txt";
+  if (std::getenv("HCS_UPDATE_GOLDEN") != nullptr) {
+    std::ofstream out(path, std::ios::binary);
+    ASSERT_TRUE(out) << "cannot write " << path;
+    out << result.out;
+    return;
+  }
+  std::ifstream in(path, std::ios::binary);
+  ASSERT_TRUE(in) << "missing golden file " << path
+                  << " (run with HCS_UPDATE_GOLDEN=1 to create)";
+  std::ostringstream golden;
+  golden << in.rdbuf();
+  EXPECT_EQ(result.out, golden.str()) << name << " drifted from its golden";
+}
 
 TEST(CliGolden, FaultSweepAndTraceOutputIsByteExact) {
   const std::vector<std::string> chaos{
@@ -679,27 +702,18 @@ TEST(CliGolden, FaultSweepAndTraceOutputIsByteExact) {
                      {"fault-sweep", "--processors", "12", "--seed", "3",
                       "--scenario", scenario, "--max-crashes", "3", "--cuts",
                       "1", "--loss", "0.05", "--format", "csv"}});
-  const bool update = std::getenv("HCS_UPDATE_GOLDEN") != nullptr;
-  for (const GoldenCase& entry : cases) {
-    const std::string& name = entry.name;
-    SCOPED_TRACE(name);
-    const CliRun result = run(entry.args);
-    ASSERT_EQ(result.exit_code, 0) << result.err;
-    const std::string path = std::string(HCS_CLI_GOLDEN_DIR) + "/" + name +
-                             ".txt";
-    if (update) {
-      std::ofstream out(path, std::ios::binary);
-      ASSERT_TRUE(out) << "cannot write " << path;
-      out << result.out;
-      continue;
-    }
-    std::ifstream in(path, std::ios::binary);
-    ASSERT_TRUE(in) << "missing golden file " << path
-                    << " (run with HCS_UPDATE_GOLDEN=1 to create)";
-    std::ostringstream golden;
-    golden << in.rdbuf();
-    EXPECT_EQ(result.out, golden.str()) << name << " drifted from its golden";
-  }
+  for (const GoldenCase& entry : cases) expect_golden(entry);
+}
+
+// The per-processor table of `schedule --stats` at a width where the
+// analysis's per-port pass, not a per-processor scan, must produce it.
+TEST(CliGolden, ScheduleStatsOutputIsByteExact) {
+  const CliRun instance =
+      run({"generate", "--processors", "64", "--seed", "7"});
+  ASSERT_EQ(instance.exit_code, 0) << instance.err;
+  expect_golden({"schedule_stats_greedy_p64",
+                 {"schedule", "--algorithm", "greedy", "--stats"},
+                 instance.out});
 }
 
 TEST(CliOptions, ParsesPairsAndFlags) {

@@ -459,6 +459,51 @@ TEST(ScenarioReject, QosCannotBeHierarchical) {
   }
 }
 
+// Every float key rejects NaN and infinity on its own line: a plain
+// `x <= 0.0` range check is false for NaN and would let it through.
+void expect_non_finite_rejected(const char* setup, const char* key,
+                                std::size_t line) {
+  for (const char* value : {"nan", "inf"}) {
+    SCOPED_TRACE(std::string(key) + " = " + value);
+    const std::string text =
+        with(setup) + key + " = " + value + "\n";
+    try {
+      (void)parse_scenario(text);
+      ADD_FAILURE() << "accepted a non-finite " << key;
+    } catch (const ScenarioError& error) {
+      EXPECT_EQ(error.line(), line) << error.what();
+      EXPECT_NE(std::string{error.what()}.find(key), std::string::npos)
+          << error.what();
+    }
+  }
+}
+
+TEST(ScenarioReject, NonFiniteDeadlineFactor) {
+  expect_non_finite_rejected("[qos]\n", "deadline_factor", 11);
+}
+
+TEST(ScenarioReject, NonFiniteTightFactor) {
+  expect_non_finite_rejected("[qos]\ntight_pairs = 4\n", "tight_factor", 12);
+}
+
+TEST(ScenarioReject, NonFiniteTightPriority) {
+  expect_non_finite_rejected("[qos]\ntight_pairs = 4\n", "tight_priority",
+                             12);
+}
+
+TEST(ScenarioReject, NonFiniteLoss) {
+  expect_non_finite_rejected("[faults]\n", "loss", 11);
+}
+
+TEST(ScenarioReject, NonFiniteBrownoutFactor) {
+  expect_non_finite_rejected("[faults]\nbrownouts = 1\n", "brownout_factor",
+                             12);
+}
+
+TEST(ScenarioReject, NonFiniteMaxRatioToLowerBound) {
+  expect_non_finite_rejected("[expect]\n", "max_ratio_to_lb", 11);
+}
+
 TEST(ScenarioReject, ErrorIsAnInputError) {
   // The CLI catches InputError; scenario diagnostics must flow through.
   EXPECT_THROW((void)parse_scenario("[zzz]\n"), InputError);
