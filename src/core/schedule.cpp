@@ -17,6 +17,8 @@ Schedule::Schedule(std::size_t processor_count,
   for (const ScheduledEvent& event : events_) {
     if (event.src >= processor_count_ || event.dst >= processor_count_)
       throw InputError("Schedule: event processor index out of range");
+    if (!std::isfinite(event.start_s) || !std::isfinite(event.finish_s))
+      throw InputError("Schedule: event time is not finite");
     if (event.finish_s < event.start_s)
       throw InputError("Schedule: event finishes before it starts");
   }
@@ -169,6 +171,8 @@ std::optional<std::string> Schedule::first_violation(const CommMatrix& comm,
   PortStream receives(*this, PortSide::kReceive);
   for (const ScheduledEvent& event : events_) {
     if (event.src == event.dst) return "self-message scheduled";
+    if (!std::isfinite(event.start_s) || !std::isfinite(event.finish_s))
+      return "event time is not finite";
     if (event.start_s < -tolerance) return "event starts before time zero";
     unsigned char& seen = covered[event.src * n + event.dst];
     if (seen != 0)

@@ -128,6 +128,8 @@ class PortStream {
 /// A complete timed schedule for one total exchange.
 class Schedule {
  public:
+  /// Throws InputError for zero processors, an event processor out of
+  /// range, a non-finite start or finish, or a finish before its start.
   Schedule(std::size_t processor_count, std::vector<ScheduledEvent> events);
 
   [[nodiscard]] std::size_t processor_count() const noexcept {

@@ -3,6 +3,7 @@
 // diagram rendering, and the dependence graph.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <sstream>
 
 #include "core/baseline.hpp"
@@ -190,6 +191,16 @@ TEST(Schedule, EventIndexOutOfRangeThrowsAtConstruction) {
 
 TEST(Schedule, FinishBeforeStartThrowsAtConstruction) {
   EXPECT_THROW(Schedule(2, {{0, 1, 2.0, 1.0}}), InputError);
+}
+
+// Every check on an event time is a comparison that NaN fails, so a
+// non-finite time has to be rejected on its own.
+TEST(Schedule, NonFiniteTimesThrowAtConstruction) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(Schedule(2, {{0, 1, nan, 1.0}, {1, 0, 0.0, 1.0}}), InputError);
+  EXPECT_THROW(Schedule(2, {{0, 1, 0.0, nan}, {1, 0, 0.0, 1.0}}), InputError);
+  EXPECT_THROW(Schedule(2, {{0, 1, 0.0, inf}, {1, 0, 0.0, 1.0}}), InputError);
 }
 
 TEST(Schedule, SenderAndReceiverEventsAreSorted) {
