@@ -346,18 +346,28 @@ TEST(ScheduleCacheTest, AbortWakesFollowersWithError) {
   const Matrix<double> cost = cost_matrix_for(15, 6);
   const ScheduleKey key =
       make_schedule_key(SchedulerKind::kGreedy, false, cost, 0.25);
-  ScheduleCache::Lookup leader = cache.acquire(key);
-  ASSERT_TRUE(leader.leader);
-  std::thread follower([&] {
-    ScheduleCache::Lookup lookup = cache.acquire(key);
-    EXPECT_TRUE(lookup.coalesced);
-    EXPECT_EQ(lookup.schedule, nullptr);
-    EXPECT_FALSE(lookup.error.empty());
-  });
-  // Give the follower a chance to park on the flight, then abort.
-  std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  cache.abort(key, leader.flight, "solver exploded");
-  follower.join();
+  // A sleep cannot promise that the follower parks on the flight before
+  // the abort. A follower that arrives after it leads a flight of its own,
+  // aborts that flight, and the round is tried again.
+  bool coalesced = false;
+  for (int round = 0; round < 50 && !coalesced; ++round) {
+    ScheduleCache::Lookup leader = cache.acquire(key);
+    ASSERT_TRUE(leader.leader);
+    ScheduleCache::Lookup followed;
+    std::thread follower([&] {
+      followed = cache.acquire(key);
+      if (followed.leader) cache.abort(key, followed.flight, "");
+    });
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    cache.abort(key, leader.flight, "solver exploded");
+    follower.join();
+    if (followed.leader) continue;
+    coalesced = true;
+    EXPECT_TRUE(followed.coalesced);
+    EXPECT_EQ(followed.schedule, nullptr);
+    EXPECT_FALSE(followed.error.empty());
+  }
+  EXPECT_TRUE(coalesced) << "no follower parked on the flight in 50 rounds";
   // Nothing cached: the next acquire leads again.
   ScheduleCache::Lookup retry = cache.acquire(key);
   EXPECT_TRUE(retry.leader);
