@@ -613,18 +613,18 @@ ResilientResult run_resilient_traced(const Scheduler& scheduler,
                             &trace);
 }
 
-void record_metrics(const ResilientResult& result,
+void record_metrics(const ResilientTotals& totals,
                     double fault_free_completion_s,
                     MetricsRegistry& registry) {
-  registry.counter("resilient.replan_count").add(result.replan_count);
-  registry.counter("resilient.messages_rescued").add(result.rescued_count);
-  registry.counter("resilient.reelected_count").add(result.reelected_count);
-  registry.counter("resilient.relayed_count").add(result.relayed_count);
-  registry.counter("resilient.undelivered_count").add(result.undelivered_count);
-  registry.counter("resilient.failed_attempts").add(result.failed_attempts);
+  registry.counter("resilient.replan_count").add(totals.replan_count);
+  registry.counter("resilient.messages_rescued").add(totals.rescued_count);
+  registry.counter("resilient.reelected_count").add(totals.reelected_count);
+  registry.counter("resilient.relayed_count").add(totals.relayed_count);
+  registry.counter("resilient.undelivered_count").add(totals.undelivered_count);
+  registry.counter("resilient.failed_attempts").add(totals.failed_attempts);
   if (fault_free_completion_s > 0.0)
     registry.gauge("resilient.degraded_makespan_ratio")
-        .set_max(result.completion_time / fault_free_completion_s);
+        .set_max(totals.completion_time / fault_free_completion_s);
 }
 
 }  // namespace hcs

@@ -139,13 +139,9 @@ struct MessageOutcome {
   bool rescued = false;
 };
 
-/// Outcome of a resilient run.
-struct ResilientResult {
-  /// All executed transfers with their actual times — direct deliveries
-  /// and relay hops (a relay hop's src/dst are the hop's endpoints).
-  std::vector<ScheduledEvent> events;
-  /// One entry per ordered pair of distinct processors.
-  std::vector<MessageOutcome> outcomes;
+/// The counts and completion of a resilient run — what its callers
+/// report, without the per-event and per-message history.
+struct ResilientTotals {
   /// Time the exchange finished (last delivery or give-up).
   double completion_time = 0.0;
   /// Rescheduling rounds performed.
@@ -163,12 +159,21 @@ struct ResilientResult {
   std::size_t rescued_count = 0;
   /// Cluster representatives replaced by degraded-mode scheduling.
   std::size_t reelected_count = 0;
-  /// Final health ledger (quarantined pairs survive the run for
-  /// inspection).
-  HealthMonitor health;
 
   /// True when every message was delivered (directly or relayed).
   [[nodiscard]] bool complete() const { return undelivered_count == 0; }
+};
+
+/// Outcome of a resilient run: its totals plus the full history.
+struct ResilientResult : ResilientTotals {
+  /// All executed transfers with their actual times — direct deliveries
+  /// and relay hops (a relay hop's src/dst are the hop's endpoints).
+  std::vector<ScheduledEvent> events;
+  /// One entry per ordered pair of distinct processors.
+  std::vector<MessageOutcome> outcomes;
+  /// Final health ledger (quarantined pairs survive the run for
+  /// inspection).
+  HealthMonitor health;
 };
 
 /// Runs one total exchange adaptively under `plan`, tolerating crash-stop
@@ -199,7 +204,7 @@ class MetricsRegistry;
 /// resilient.undelivered_count, resilient.failed_attempts, and gauge
 /// resilient.degraded_makespan_ratio (completion over
 /// `fault_free_completion_s`; skipped when the reference is not positive).
-void record_metrics(const ResilientResult& result,
+void record_metrics(const ResilientTotals& totals,
                     double fault_free_completion_s, MetricsRegistry& registry);
 
 }  // namespace hcs

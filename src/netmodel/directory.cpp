@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <utility>
 
 #include "util/error.hpp"
 
@@ -197,5 +198,14 @@ LinkParams TraceDirectory::query(std::size_t src, std::size_t dst,
 NetworkModel TraceDirectory::snapshot(double now_s) const { return active(now_s); }
 
 bool TraceDirectory::time_invariant() const { return trace_.size() == 1; }
+
+std::unique_ptr<DirectoryService> make_live_directory(
+    NetworkModel network, std::uint64_t seed,
+    const DriftingDirectory::Options& drift) {
+  if (drift.step_sigma > 0.0)
+    return std::make_unique<DriftingDirectory>(std::move(network), seed * 97,
+                                               drift);
+  return std::make_unique<StaticDirectory>(std::move(network));
+}
 
 }  // namespace hcs

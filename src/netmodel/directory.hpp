@@ -11,6 +11,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <map>
+#include <memory>
 
 #include "netmodel/network_model.hpp"
 #include "util/rng.hpp"
@@ -137,6 +138,13 @@ class DriftingDirectory final : public DirectoryService {
   std::array<double, 64> bridge_scale_{};
   CounterNormal normal_;
 };
+
+/// The live directory of a run or daemon seeded `seed`: static when
+/// drift.step_sigma is 0, else drifting with walk seed `seed * 97`. The
+/// one place a spec's or the CLI's drift settings become a directory.
+[[nodiscard]] std::unique_ptr<DirectoryService> make_live_directory(
+    NetworkModel network, std::uint64_t seed,
+    const DriftingDirectory::Options& drift);
 
 /// Directory that replays a recorded sequence of network snapshots: the
 /// snapshot with the largest timestamp <= now is in effect. Used in tests

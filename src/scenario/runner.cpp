@@ -4,16 +4,12 @@
 #include <filesystem>
 #include <fstream>
 #include <limits>
+#include <memory>
 #include <sstream>
 #include <utility>
 
-#include "fault/resilient.hpp"
 #include "netmodel/directory.hpp"
-#include "scenario/resolve.hpp"
 #include "sim/send_program.hpp"
-#include "sim/simulator.hpp"
-#include "trace/auditor.hpp"
-#include "trace/trace.hpp"
 #include "util/error.hpp"
 #include "util/table.hpp"
 #include "util/thread_pool.hpp"
@@ -21,104 +17,11 @@
 namespace hcs::scenario {
 namespace {
 
-/// Deadline compliance of what actually executed (as opposed to
-/// evaluate_qos on the planned schedule): delivered messages are late
-/// when they finish past their deadline; undelivered messages with a
-/// finite deadline count as missed outright.
-struct ExecutedQos {
-  std::size_t missed = 0;
-  double max_tardiness_s = 0.0;
-  double weighted_tardiness_s = 0.0;
-
-  void add(std::size_t src, std::size_t dst, double finish_s, bool delivered,
-           const QosSpec& qos) {
-    const double deadline = qos.deadline_s(src, dst);
-    if (delivered && finish_s <= deadline) return;
-    if (!delivered && deadline == std::numeric_limits<double>::infinity())
-      return;
-    const double tardiness = std::max(0.0, finish_s - deadline);
-    ++missed;
-    max_tardiness_s = std::max(max_tardiness_s, tardiness);
-    weighted_tardiness_s += qos.priority(src, dst) * tardiness;
-  }
-};
-
-/// Everything the artifact renders, gathered from whichever executor ran.
-struct Execution {
-  double executed_s = 0.0;
-  std::size_t events_executed = 0;
-  std::size_t direct = 0;
-  std::size_t relayed = 0;
-  std::size_t rescued = 0;
-  std::size_t undeliverable = 0;
-  std::size_t replans = 0;
-  std::size_t reschedules = 0;
-  std::size_t failed_attempts = 0;
-  ExecutedQos qos;
-};
-
-Execution execute(const ResolvedScenario& resolved, const Schedule& planned,
-                  EventTrace& trace) {
-  const ScenarioSpec& spec = resolved.spec;
-  Execution exec;
-  if (spec.has_faults) {
-    const StaticDirectory directory{resolved.network};
-    const FaultPlan plan = make_fault_plan(spec, planned.completion_time());
-    const ResilientResult result = run_resilient_traced(
-        *resolved.scheduler, directory, resolved.messages, plan,
-        make_resilient_options(spec, planned.completion_time()), trace);
-    exec.executed_s = result.completion_time;
-    exec.events_executed = result.events.size();
-    exec.relayed = result.relayed_count;
-    exec.rescued = result.rescued_count;
-    exec.undeliverable = result.undelivered_count;
-    exec.direct = result.outcomes.size() - result.relayed_count -
-                  result.undelivered_count - result.rescued_count;
-    exec.replans = result.replan_count;
-    exec.reschedules = result.reschedule_count;
-    exec.failed_attempts = result.failed_attempts;
-    if (spec.has_qos)
-      for (const MessageOutcome& outcome : result.outcomes)
-        exec.qos.add(outcome.src, outcome.dst, outcome.finish_s,
-                     outcome.status != DeliveryStatus::kUndeliverable,
-                     resolved.qos);
-    return exec;
-  }
-
-  const auto run = [&](const DirectoryService& directory) {
-    const NetworkSimulator simulator{directory, resolved.messages};
-    return simulator.run_traced(SendProgram::from_schedule(planned), {},
-                                trace);
-  };
-  SimResult result;
-  if (spec.drift_sigma > 0.0) {
-    DriftingDirectory::Options drift;
-    drift.step_sigma = spec.drift_sigma;
-    drift.update_period_s = spec.drift_period_s;
-    const DriftingDirectory directory{resolved.network, spec.seed * 97,
-                                      drift};
-    result = run(directory);
-  } else {
-    const StaticDirectory directory{resolved.network};
-    result = run(directory);
-  }
-  exec.executed_s = result.completion_time;
-  exec.events_executed = result.events.size();
-  exec.direct = result.events.size();
-  exec.undeliverable = result.undelivered.size();
-  exec.failed_attempts = result.failed_attempts;
-  if (spec.has_qos)
-    for (const ScheduledEvent& event : result.events)
-      exec.qos.add(event.src, event.dst, event.finish_s, /*delivered=*/true,
-                   resolved.qos);
-  return exec;
-}
-
 std::string render_artifact(const ResolvedScenario& resolved,
-                            const Schedule& planned, const Execution& exec,
-                            const AuditReport& audit,
+                            const Execution& exec, const AuditReport& audit,
                             const EventTrace& trace) {
   const ScenarioSpec& spec = resolved.spec;
+  const Schedule& planned = exec.planned;
   const double lb = resolved.lower_bound_s;
   const double ratio =
       lb > 0.0 ? planned.completion_time() / lb : 1.0;
@@ -136,7 +39,8 @@ std::string render_artifact(const ResolvedScenario& resolved,
   out << "  \"planned_s\": " << format_double(planned.completion_time(), 6)
       << ",\n";
   out << "  \"planned_ratio\": " << format_double(ratio, 6) << ",\n";
-  out << "  \"executed_s\": " << format_double(exec.executed_s, 6) << ",\n";
+  out << "  \"executed_s\": " << format_double(exec.totals.completion_time, 6)
+      << ",\n";
   out << "  \"audit\": \""
       << (audit.ok() ? "clean"
                      : "violations: " + std::to_string(
@@ -145,12 +49,12 @@ std::string render_artifact(const ResolvedScenario& resolved,
   out << "  \"audit_transfers\": " << audit.transfers << ",\n";
   out << "  \"events_executed\": " << exec.events_executed << ",\n";
   out << "  \"outcomes\": {\"direct\": " << exec.direct
-      << ", \"relayed\": " << exec.relayed
-      << ", \"rescued\": " << exec.rescued
-      << ", \"undeliverable\": " << exec.undeliverable << "},\n";
-  out << "  \"replans\": " << exec.replans << ",\n";
-  out << "  \"reschedules\": " << exec.reschedules << ",\n";
-  out << "  \"failed_attempts\": " << exec.failed_attempts << ",\n";
+      << ", \"relayed\": " << exec.totals.relayed_count
+      << ", \"rescued\": " << exec.totals.rescued_count
+      << ", \"undeliverable\": " << exec.totals.undelivered_count << "},\n";
+  out << "  \"replans\": " << exec.totals.replan_count << ",\n";
+  out << "  \"reschedules\": " << exec.totals.reschedule_count << ",\n";
+  out << "  \"failed_attempts\": " << exec.totals.failed_attempts << ",\n";
   if (spec.has_qos) {
     const QosMetrics planned_qos = evaluate_qos(planned, resolved.qos);
     out << "  \"qos\": {\"planned_missed\": " << planned_qos.missed_deadlines
@@ -170,8 +74,8 @@ std::string render_artifact(const ResolvedScenario& resolved,
 
 void check_expectations(const ScenarioSpec& spec, const Execution& exec,
                         const AuditReport& audit, const EventTrace& trace,
-                        double planned_s, double lb,
-                        std::vector<std::string>& failures) {
+                        double lb, std::vector<std::string>& failures) {
+  const double planned_s = exec.planned.completion_time();
   if (!audit.ok())
     failures.push_back("audit: " + std::to_string(audit.violations.size()) +
                        " violation(s), first: " + audit.violations.front());
@@ -179,9 +83,9 @@ void check_expectations(const ScenarioSpec& spec, const Execution& exec,
     failures.push_back("trace ring dropped " +
                        std::to_string(trace.dropped()) +
                        " event(s); the audit window is incomplete");
-  if (spec.expect_complete && exec.undeliverable > 0)
+  if (spec.expect_complete && !exec.totals.complete())
     failures.push_back("expected completion but " +
-                       std::to_string(exec.undeliverable) +
+                       std::to_string(exec.totals.undelivered_count) +
                        " message(s) were undeliverable");
   if (spec.expect_max_ratio > 0.0 && lb > 0.0 &&
       planned_s > spec.expect_max_ratio * lb)
@@ -211,35 +115,96 @@ std::string golden_file_name(const ScenarioSpec& spec) {
 
 }  // namespace
 
+void ExecutedQos::add(std::size_t src, std::size_t dst, double finish_s,
+                      bool delivered, const QosSpec& qos) {
+  const double deadline = qos.deadline_s(src, dst);
+  if (delivered && finish_s <= deadline) return;
+  if (!delivered && deadline == std::numeric_limits<double>::infinity())
+    return;
+  const double tardiness = std::max(0.0, finish_s - deadline);
+  ++missed;
+  max_tardiness_s = std::max(max_tardiness_s, tardiness);
+  weighted_tardiness_s += qos.priority(src, dst) * tardiness;
+}
+
+Execution execute(const ResolvedScenario& resolved, const SimOptions& options,
+                  EventTrace& trace) {
+  const ScenarioSpec& spec = resolved.spec;
+  if (spec.has_faults && options.model != ReceiveModel::kSerialized)
+    throw InputError("faults require the serialized receive model");
+  Execution exec{resolved.scheduler->schedule(resolved.comm)};
+  exec.planned.validate(resolved.comm);
+
+  const std::unique_ptr<DirectoryService> directory = make_live_directory(
+      resolved.network, spec.seed,
+      {.update_period_s = spec.drift_period_s, .step_sigma = spec.drift_sigma});
+
+  if (spec.has_faults) {
+    const double horizon_s = exec.planned.completion_time();
+    const ResilientResult result = run_resilient_traced(
+        *resolved.scheduler, *directory, resolved.messages,
+        make_fault_plan(spec, horizon_s),
+        make_resilient_options(spec, horizon_s), trace);
+    exec.totals = result;  // the counts only, not the history
+    exec.events_executed = result.events.size();
+    exec.direct = result.outcomes.size() - result.relayed_count -
+                  result.undelivered_count - result.rescued_count;
+    if (spec.has_qos)
+      for (const MessageOutcome& outcome : result.outcomes)
+        exec.qos.add(outcome.src, outcome.dst, outcome.finish_s,
+                     outcome.status != DeliveryStatus::kUndeliverable,
+                     resolved.qos);
+    return exec;
+  }
+
+  const NetworkSimulator simulator{*directory, resolved.messages};
+  const SimResult result = simulator.run_traced(
+      SendProgram::from_schedule(exec.planned), options, trace);
+  exec.totals.completion_time = result.completion_time;
+  exec.totals.failed_attempts = result.failed_attempts;
+  exec.totals.undelivered_count = result.undelivered.size();
+  exec.events_executed = result.events.size();
+  exec.direct = result.events.size();
+  exec.total_sender_wait_s = result.total_sender_wait_s;
+  if (spec.has_qos)
+    for (const ScheduledEvent& event : result.events)
+      exec.qos.add(event.src, event.dst, event.finish_s, /*delivered=*/true,
+                   resolved.qos);
+  return exec;
+}
+
+AuditReport audit_execution(const ScenarioSpec& spec,
+                            const SimOptions& options,
+                            const Execution& execution,
+                            const EventTrace& trace) {
+  AuditOptions audit_options;
+  audit_options.serialized_receives =
+      options.model == ReceiveModel::kSerialized;
+  const ScheduleAuditor auditor{audit_options};
+  return spec.has_faults
+             ? auditor.audit(trace)
+             : auditor.audit(trace, execution.totals.completion_time);
+}
+
+std::size_t trace_capacity(std::size_t processors) {
+  return std::max<std::size_t>(std::size_t{1} << 16,
+                               4 * processors * processors);
+}
+
 ScenarioRun run_scenario(const ScenarioSpec& spec) {
   ScenarioRun run;
   const ResolvedScenario resolved = resolve_scenario(spec);
-  const Schedule planned = resolved.scheduler->schedule(resolved.comm);
-  planned.validate(resolved.comm);
+  EventTrace trace{trace_capacity(spec.processors)};
+  const Execution exec = execute(resolved, {}, trace);
+  const AuditReport audit = audit_execution(spec, {}, exec, trace);
 
-  // ~4 trace events per ordered pair (and more under retries/relays);
-  // size the ring so the audit sees the full history, not a window. The
-  // ring is reserved up front but stays virtual until written, so the
-  // slack costs no resident memory.
-  const std::size_t n = spec.processors;
-  EventTrace trace{std::max<std::size_t>(std::size_t{1} << 16, 4 * n * n)};
-  const Execution exec = execute(resolved, planned, trace);
-
-  AuditOptions audit_options;  // serialized receives: every executor here
-  const ScheduleAuditor auditor{audit_options};
-  // A faulty run's completion time includes give-up instants, which are
-  // not port engagements; skip the completion cross-check there.
-  const AuditReport audit = spec.has_faults
-                                ? auditor.audit(trace)
-                                : auditor.audit(trace, exec.executed_s);
-
-  run.artifact = render_artifact(resolved, planned, exec, audit, trace);
-  check_expectations(spec, exec, audit, trace, planned.completion_time(),
-                     resolved.lower_bound_s, run.failures);
+  run.artifact = render_artifact(resolved, exec, audit, trace);
+  check_expectations(spec, exec, audit, trace, resolved.lower_bound_s,
+                     run.failures);
   run.lower_bound_s = resolved.lower_bound_s;
-  run.planned_s = planned.completion_time();
-  run.executed_s = exec.executed_s;
-  run.undeliverable = exec.undeliverable;
+  run.planned_s = exec.planned.completion_time();
+  run.executed_s = exec.totals.completion_time;
+  run.undeliverable = exec.totals.undelivered_count;
   run.executed_missed_deadlines = exec.qos.missed;
   return run;
 }

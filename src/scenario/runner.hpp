@@ -1,12 +1,11 @@
 // Scenario execution and the golden-artifact fleet runner.
 //
-// run_scenario executes one resolved scenario end to end —
-// detect/schedule, validate, simulate (static, drifting, or
-// fault-injected resilient execution), audit the recorded trace against
-// the model invariants, evaluate QoS compliance — and renders one
-// deterministic JSON artifact. The artifact is a pure function of the
-// spec: fixed key order, format_double-rendered numbers, no timestamps,
-// no environment — so a checked-in golden copy is a regression test.
+// execute is the one execution path for a resolved instance: the fleet
+// runner, `hcs trace` and `hcs simulate` all run through it. run_scenario
+// is resolve -> execute -> audit -> render, checking the spec's
+// expectations and rendering one deterministic JSON artifact: fixed key
+// order, format_double-rendered numbers, no timestamps, no environment —
+// so a checked-in golden copy is a regression test.
 //
 // run_scenario_directory is the fleet driver behind `hcs run-scenarios`:
 // every *.scn file in a directory runs on the deterministic strided
@@ -19,11 +18,67 @@
 #include <cstddef>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
+#include "core/schedule.hpp"
+#include "fault/resilient.hpp"
+#include "scenario/resolve.hpp"
 #include "scenario/spec.hpp"
+#include "sim/simulator.hpp"
+#include "trace/auditor.hpp"
+#include "trace/trace.hpp"
 
 namespace hcs::scenario {
+
+/// Deadline compliance of what actually executed (as opposed to
+/// evaluate_qos on the planned schedule): delivered messages are late
+/// when they finish past their deadline; undelivered messages with a
+/// finite deadline count as missed outright.
+struct ExecutedQos {
+  std::size_t missed = 0;
+  double max_tardiness_s = 0.0;
+  double weighted_tardiness_s = 0.0;
+
+  void add(std::size_t src, std::size_t dst, double finish_s, bool delivered,
+           const QosSpec& qos);
+};
+
+/// What one execution of a resolved scenario planned and did.
+struct Execution {
+  explicit Execution(Schedule plan) : planned(std::move(plan)) {}
+
+  Schedule planned;  ///< the spec scheduler's plan, validated
+  /// A fault-free run fills completion_time, failed_attempts and
+  /// undelivered_count only.
+  ResilientTotals totals;
+  std::size_t events_executed = 0;
+  std::size_t direct = 0;  ///< delivered, not relayed or rescued
+  double total_sender_wait_s = 0.0;  ///< fault-free runs only
+  ExecutedQos qos;  ///< empty unless the spec has a [qos] section
+};
+
+/// Plans with the spec's scheduler, validates the plan, builds the live
+/// directory once (make_live_directory) and runs the plan on it: through
+/// run_resilient_traced with the spec's fault plan when the spec has
+/// faults, else on the simulator under `options`. Records every executed
+/// event into `trace`. Throws InputError for faults under a receive model
+/// other than serialized, the only one the fault-tolerant executor models.
+[[nodiscard]] Execution execute(const ResolvedScenario& resolved,
+                                const SimOptions& options, EventTrace& trace);
+
+/// Audits what `execute` recorded: serialized receives only under the
+/// serialized model, and no completion cross-check for a faulty run, whose
+/// completion includes give-up instants that engage no port.
+[[nodiscard]] AuditReport audit_execution(const ScenarioSpec& spec,
+                                          const SimOptions& options,
+                                          const Execution& execution,
+                                          const EventTrace& trace);
+
+/// Ring capacity that holds a whole P-processor run: ~4 events per ordered
+/// pair (more under retries and relays), at least the default ring. The
+/// reservation stays virtual until written, so slack costs no memory.
+[[nodiscard]] std::size_t trace_capacity(std::size_t processors);
 
 /// Outcome of one scenario execution.
 struct ScenarioRun {

@@ -415,11 +415,6 @@ void validate(const ScenarioSpec& spec, const RawScenario& raw) {
       throw ScenarioError(at.of("faults.brownout_factor"),
                           "brownout_factor must be in (0, 1]");
     }
-    if (spec.drift_sigma > 0.0) {
-      throw ScenarioError(at.section("faults"),
-                          "[faults] cannot be combined with directory "
-                          "drift (drift_sigma > 0)");
-    }
     if (spec.crashes > 0 && spec.expect_complete) {
       throw ScenarioError(at.section("faults"),
                           "crash-stop nodes make completion impossible; "

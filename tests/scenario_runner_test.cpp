@@ -14,6 +14,7 @@
 #include "scenario/resolve.hpp"
 #include "scenario/runner.hpp"
 #include "scenario/spec.hpp"
+#include "util/error.hpp"
 #include "workload/scenario.hpp"
 
 namespace hcs::scenario {
@@ -118,6 +119,39 @@ TEST(ScenarioRunner, RunsAreDeterministic) {
   const ScenarioRun second = run_scenario(spec);
   EXPECT_EQ(first.artifact, second.artifact);
   EXPECT_TRUE(first.ok());
+}
+
+TEST(ScenarioRunner, DriftComposesWithFaults) {
+  // The fault-tolerant executor runs on the spec's live directory, so a
+  // drifting directory changes what a faulty run executes.
+  ScenarioSpec spec = base_spec("drift-faults", 9);
+  spec.processors = 12;
+  spec.has_faults = true;
+  spec.crashes = 1;
+  spec.cuts = 2;
+  spec.loss = 0.02;
+  spec.replan = true;
+  spec.expect_complete = false;
+  const ScenarioRun still = run_scenario(spec);
+  spec.drift_sigma = 0.3;
+  const ScenarioRun drifting = run_scenario(spec);
+  EXPECT_TRUE(still.ok()) << (still.ok() ? "" : still.failures[0]);
+  EXPECT_TRUE(drifting.ok()) << (drifting.ok() ? "" : drifting.failures[0]);
+  EXPECT_NE(drifting.executed_s, still.executed_s);
+  EXPECT_EQ(drifting.planned_s, still.planned_s);
+  EXPECT_EQ(run_scenario(spec).artifact, drifting.artifact);
+}
+
+TEST(ScenarioRunner, FaultsRequireTheSerializedModel) {
+  ScenarioSpec spec = base_spec("model", 4);
+  spec.has_faults = true;
+  spec.cuts = 1;
+  const ResolvedScenario resolved = resolve_scenario(spec);
+  SimOptions interleaved;
+  interleaved.model = ReceiveModel::kInterleaved;
+  EventTrace trace;
+  EXPECT_THROW((void)execute(resolved, interleaved, trace), InputError);
+  EXPECT_EQ(trace.recorded(), 0u);
 }
 
 TEST(ScenarioRunner, QosUnderFaultsCompletesAndCountsMissedDeadlines) {

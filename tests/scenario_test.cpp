@@ -154,8 +154,7 @@ ScenarioSpec random_spec(Rng& rng) {
   if (spec.family == TopologyFamily::kClustered) {
     spec.sites = 2 + rng.next_below(3);
   }
-  const bool drift = rng.next_below(4) == 0;
-  if (drift) {
+  if (rng.next_below(4) == 0) {
     spec.drift_sigma = 0.05 * static_cast<double>(1 + rng.next_below(10));
     spec.drift_period_s =
         0.25 * static_cast<double>(1 + rng.next_below(8));
@@ -200,7 +199,7 @@ ScenarioSpec random_spec(Rng& rng) {
     spec.hierarchical = rng.next_below(3) == 0;
   }
 
-  if (!drift && rng.next_below(3) == 0) {
+  if (rng.next_below(3) == 0) {
     spec.has_faults = true;
     spec.crashes = rng.next_below(2);
     spec.restarts = rng.next_below(2);
@@ -402,11 +401,6 @@ TEST(ScenarioReject, CorpusProducesLineNumberedDiagnostics) {
        "'brownout_factor' requires brownouts > 0", true},
       {"crashes-expect-complete", "[faults]\ncrashes = 1\n", 10,
        "set [expect] complete = false", true},
-      {"faults-with-drift",
-       "[scenario]\nname = a\n[topology]\nprocessors = 8\n"
-       "drift_sigma = 0.2\n[workload]\nkind = mixed\n[faults]\n"
-       "loss = 0.1\n",
-       8, "cannot be combined with directory drift"},
       {"zero-max-ratio", "[expect]\nmax_ratio_to_lb = 0\n", 11,
        "max_ratio_to_lb must be > 0", true},
       {"deadlines-without-qos", "[expect]\ndeadlines_met = true\n", 11,

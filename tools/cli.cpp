@@ -108,7 +108,8 @@ usage:
       and export the trace: an ASCII timing diagram (default), Chrome
       trace_event JSON for chrome://tracing / Perfetto, or a metrics JSON
       summary. Fault options switch to the fault-tolerant executor
-      (serialized model only) and cannot be combined with --drift.
+      (serialized model only), which runs on the same static or drifting
+      directory and checkpoints after half of the remaining exchange.
       --clusters/--hierarchical pick the clustered network family and
       the hierarchical scheduler, as in sweep. --audit replays the trace
       through the model-invariant auditor and fails on any violation.
@@ -370,34 +371,29 @@ int cmd_simulate(const Options& options, std::ostream& out) {
   const auto n = static_cast<std::size_t>(processors);
   const auto seed = static_cast<std::uint64_t>(options.get_long("seed", 1));
   const Scenario scenario = parse_scenario(options.get("scenario", "mixed"));
-  const SchedulerKind kind =
-      parse_algorithm(options.get("algorithm", "openshop"));
+  scenario::ScenarioSpec spec = scenario::instance_spec(scenario, n, seed);
+  spec.algorithm = parse_algorithm(options.get("algorithm", "openshop"));
   const DriftingDirectory::Options drift = drift_options(options, 0.2);
-  const double sigma = drift.step_sigma;
+  spec.drift_sigma = drift.step_sigma;
+  spec.drift_period_s = drift.update_period_s;
 
-  const ProblemInstance instance = make_instance(scenario, n, seed);
-  const CommMatrix comm{instance.network, instance.messages};
-  const auto scheduler = make_scheduler(kind, seed);
-  const Schedule planned = scheduler->schedule(comm);
-  planned.validate(comm);
-
-  const DriftingDirectory directory{instance.network, seed * 97, drift};
-  const NetworkSimulator simulator{directory, instance.messages};
-  const SimResult actual =
-      simulator.run(SendProgram::from_schedule(planned));
+  const scenario::ResolvedScenario resolved = scenario::resolve_scenario(spec);
+  EventTrace trace;  // nothing here reads it; the default ring bounds it
+  const scenario::Execution exec = scenario::execute(resolved, {}, trace);
 
   out << "scenario " << scenario_name(scenario) << ", P = " << n << ", "
-      << scheduler->name() << " schedule\n";
+      << resolved.scheduler->name() << " schedule\n";
   Table table{{"", "completion (s)", "ratio to t_lb"}};
-  const double lb = comm.lower_bound();
-  table.add_row({"planned (directory estimate)",
-                 format_double(planned.completion_time(), 4),
-                 format_double(planned.completion_time() / lb, 4)});
-  table.add_row({"actual (drift sigma " + format_double(sigma, 2) + ")",
-                 format_double(actual.completion_time, 4),
-                 format_double(actual.completion_time / lb, 4)});
+  const double lb = resolved.lower_bound_s;
+  const double planned = exec.planned.completion_time();
+  const double actual = exec.totals.completion_time;
+  table.add_row({"planned (directory estimate)", format_double(planned, 4),
+                 format_double(planned / lb, 4)});
+  table.add_row({"actual (drift sigma " + format_double(spec.drift_sigma, 2) +
+                     ")",
+                 format_double(actual, 4), format_double(actual / lb, 4)});
   table.print(out);
-  out << "sender wait total: " << format_double(actual.total_sender_wait_s, 3)
+  out << "sender wait total: " << format_double(exec.total_sender_wait_s, 3)
       << " s\n";
   return 0;
 }
@@ -620,54 +616,48 @@ int cmd_trace(const Options& options, std::ostream& out, std::ostream& err) {
   const auto n = static_cast<std::size_t>(processors);
   const auto seed = static_cast<std::uint64_t>(options.get_long("seed", 1));
   const Scenario scenario = parse_scenario(options.get("scenario", "mixed"));
-  const SchedulerKind kind =
-      parse_algorithm(options.get("algorithm", "openshop"));
   const std::string format = options.get("format", "diagram");
   const std::string model_name = options.get("model", "serialized");
   const long rows = options.get_long("rows", 24);
   if (rows < 1) throw InputError("--rows must be >= 1");
-  const DriftingDirectory::Options drift = drift_options(options, 0.0);
-  const double sigma = drift.step_sigma;
-  const long crashes = options.get_long("crashes", 0);
-  const long cut_count = options.get_long("cuts", 0);
-  const double loss = options.get_double("loss", 0.0);
-  if (crashes < 0 || static_cast<std::size_t>(crashes) + 2 > n)
-    throw InputError("--crashes must be in [0, processors - 2]");
-  if (cut_count < 0) throw InputError("--cuts must be >= 0");
-  if (!(loss >= 0.0) || !(loss < 1.0))
-    throw InputError("--loss must be in [0, 1)");
-  const long restart_count = options.get_long("restarts", 0);
-  if (restart_count < 0 || restart_count + crashes > processors - 2)
-    throw InputError("--restarts must be >= 0 and leave two healthy nodes");
-  const long flap_count = options.get_long("flaps", 0);
-  if (flap_count < 0) throw InputError("--flaps must be >= 0");
-  const long brownout_count = options.get_long("brownouts", 0);
-  if (brownout_count < 0) throw InputError("--brownouts must be >= 0");
-  const double brownout_factor = options.get_double("brownout-factor", 0.25);
-  if (!(brownout_factor > 0.0) || !(brownout_factor <= 1.0))
-    throw InputError("--brownout-factor must be in (0, 1]");
   const long clusters = options.get_long("clusters", 0);
   if (clusters < 0) throw InputError("--clusters must be >= 0");
 
-  // The instance, its scheduler and its fault plan come from the scenario
-  // builders, as for a .scn file with the same [faults] section.
-  scenario::ScenarioSpec spec =
-      scenario::instance_spec(scenario, n, seed,
-                              static_cast<std::size_t>(clusters));
-  spec.algorithm = kind;
+  // The flags fill in a spec, as a .scn file's drift and [faults] section
+  // would, and the run takes the scenario runner's one execution path.
+  scenario::ScenarioSpec spec = scenario::instance_spec(
+      scenario, n, seed, static_cast<std::size_t>(clusters));
+  spec.algorithm = parse_algorithm(options.get("algorithm", "openshop"));
   spec.hierarchical = options.has("hierarchical");
+  const DriftingDirectory::Options drift = drift_options(options, 0.0);
+  spec.drift_sigma = drift.step_sigma;
+  spec.drift_period_s = drift.update_period_s;
+  const long crashes = options.get_long("crashes", 0);
+  if (crashes < 0 || static_cast<std::size_t>(crashes) + 2 > n)
+    throw InputError("--crashes must be in [0, processors - 2]");
+  const long restarts = options.get_long("restarts", 0);
+  if (restarts < 0 || restarts + crashes > processors - 2)
+    throw InputError("--restarts must be >= 0 and leave two healthy nodes");
+  const auto count = [&](const std::string& flag) {
+    const long value = options.get_long(flag, 0);
+    if (value < 0) throw InputError("--" + flag + " must be >= 0");
+    return static_cast<std::size_t>(value);
+  };
   spec.crashes = static_cast<std::size_t>(crashes);
-  spec.cuts = static_cast<std::size_t>(cut_count);
-  spec.loss = loss;
-  spec.restarts = static_cast<std::size_t>(restart_count);
-  spec.flaps = static_cast<std::size_t>(flap_count);
-  spec.brownouts = static_cast<std::size_t>(brownout_count);
-  spec.brownout_factor = brownout_factor;
+  spec.restarts = static_cast<std::size_t>(restarts);
+  spec.cuts = count("cuts");
+  spec.flaps = count("flaps");
+  spec.brownouts = count("brownouts");
+  spec.loss = options.get_double("loss", 0.0);
+  if (!(spec.loss >= 0.0) || !(spec.loss < 1.0))
+    throw InputError("--loss must be in [0, 1)");
+  spec.brownout_factor = options.get_double("brownout-factor", 0.25);
+  if (!(spec.brownout_factor > 0.0) || !(spec.brownout_factor <= 1.0))
+    throw InputError("--brownout-factor must be in (0, 1]");
   spec.replan = options.has("replan");
-  spec.has_faults = crashes > 0 || cut_count > 0 || loss > 0.0 ||
-                    restart_count > 0 || flap_count > 0 || brownout_count > 0;
-  if (spec.has_faults && sigma > 0.0)
-    throw InputError("--drift cannot be combined with fault options");
+  spec.has_faults = spec.crashes + spec.restarts + spec.cuts + spec.flaps +
+                            spec.brownouts > 0 ||
+                    spec.loss > 0.0;
 
   SimOptions sim_options;
   if (model_name == "serialized") {
@@ -681,39 +671,9 @@ int cmd_trace(const Options& options, std::ostream& out, std::ostream& err) {
   }
 
   const scenario::ResolvedScenario resolved = scenario::resolve_scenario(spec);
-  const Schedule planned = resolved.scheduler->schedule(resolved.comm);
-  planned.validate(resolved.comm);
-
-  // A total exchange records ~4 trace events per ordered pair (issue,
-  // start, finish, delivery); size the ring so wide-P audits see every
-  // event instead of the default ring's most recent 64k. The reservation
-  // is virtual until written.
-  EventTrace trace{std::max<std::size_t>(std::size_t{1} << 16, 4 * n * n)};
-  double completion = 0.0;
-  ResilientResult resilient_result;
-  if (spec.has_faults) {
-    if (sim_options.model != ReceiveModel::kSerialized)
-      throw InputError("fault options require --model serialized");
-    const StaticDirectory directory{resolved.network};
-    const double horizon_s = planned.completion_time();
-    resilient_result = run_resilient_traced(
-        *resolved.scheduler, directory, resolved.messages,
-        scenario::make_fault_plan(spec, horizon_s),
-        scenario::make_resilient_options(spec, horizon_s), trace);
-    completion = resilient_result.completion_time;
-  } else if (sigma > 0.0) {
-    const DriftingDirectory directory{resolved.network, seed * 97, drift};
-    const NetworkSimulator simulator{directory, resolved.messages};
-    const SimResult result = simulator.run_traced(
-        SendProgram::from_schedule(planned), sim_options, trace);
-    completion = result.completion_time;
-  } else {
-    const StaticDirectory directory{resolved.network};
-    const NetworkSimulator simulator{directory, resolved.messages};
-    const SimResult result = simulator.run_traced(
-        SendProgram::from_schedule(planned), sim_options, trace);
-    completion = result.completion_time;
-  }
+  EventTrace trace{scenario::trace_capacity(n)};
+  const scenario::Execution exec =
+      scenario::execute(resolved, sim_options, trace);
 
   if (format == "diagram") {
     out << render_trace_diagram(trace, static_cast<std::size_t>(rows));
@@ -721,9 +681,9 @@ int cmd_trace(const Options& options, std::ostream& out, std::ostream& err) {
     write_chrome_trace(out, trace);
   } else if (format == "metrics") {
     MetricsRegistry metrics;
-    trace_metrics(trace, completion, metrics);
+    trace_metrics(trace, exec.totals.completion_time, metrics);
     if (spec.has_faults)
-      record_metrics(resilient_result, planned.completion_time(), metrics);
+      record_metrics(exec.totals, exec.planned.completion_time(), metrics);
     metrics.write_json(out);
     out << '\n';
   } else {
@@ -731,15 +691,8 @@ int cmd_trace(const Options& options, std::ostream& out, std::ostream& err) {
   }
 
   if (options.has("audit")) {
-    AuditOptions audit_options;
-    audit_options.serialized_receives =
-        sim_options.model == ReceiveModel::kSerialized;
-    const ScheduleAuditor auditor(audit_options);
-    // A faulty run's completion time includes give-up instants, which are
-    // not port engagements; skip the completion cross-check there.
     const AuditReport report =
-        spec.has_faults ? auditor.audit(trace)
-                        : auditor.audit(trace, completion);
+        scenario::audit_execution(spec, sim_options, exec, trace);
     if (!report.ok()) {
       err << "hcs trace: audit failed\n" << report.summary() << '\n';
       return 1;

@@ -111,7 +111,6 @@ int main(int argc, char** argv) {
         static_cast<std::size_t>(options.get_long("clusters", 0));
     const hcs::DriftingDirectory::Options drift =
         hcs::cli::drift_options(options, 0.0);
-    const double drift_sigma = drift.step_sigma;
 
     hcs::NetworkModel base = [&] {
       if (clusters > 0) {
@@ -122,13 +121,8 @@ int main(int argc, char** argv) {
       return hcs::generate_network(p, seed);
     }();
 
-    std::unique_ptr<hcs::DirectoryService> directory;
-    if (drift_sigma > 0.0) {
-      directory = std::make_unique<hcs::DriftingDirectory>(std::move(base),
-                                                           seed * 97, drift);
-    } else {
-      directory = std::make_unique<hcs::StaticDirectory>(std::move(base));
-    }
+    std::unique_ptr<hcs::DirectoryService> directory =
+        hcs::make_live_directory(std::move(base), seed, drift);
 
     hcs::service::ServerOptions server_options;
     server_options.socket_path = socket_path;
@@ -183,7 +177,7 @@ int main(int argc, char** argv) {
               << ", cache=" << server_options.cache.capacity << "x"
               << server_options.cache.shards
               << " shards, quantum=" << server_options.quantum
-              << (drift_sigma > 0.0 ? ", drifting" : ", static") << ")"
+              << (drift.step_sigma > 0.0 ? ", drifting" : ", static") << ")"
               << std::endl;
 
     server.wait();
