@@ -1,5 +1,6 @@
 #include "fault/fault_plan.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <string>
 
@@ -156,6 +157,34 @@ bool FaultPlan::node_dead(std::size_t node, double now_s) const {
         now_s < restart.recover_s)
       return true;
   return false;
+}
+
+std::vector<char> FaultPlan::dead_nodes(std::size_t processor_count,
+                                        double now_s) const {
+  std::vector<char> down(processor_count, 0);
+  for (const CrashStop& crash : crashes)
+    if (now_s >= crash.at_s) down[crash.node] = 1;
+  for (const CrashRestart& restart : restarts)
+    if (now_s >= restart.at_s && now_s < restart.recover_s)
+      down[restart.node] = 1;
+  return down;
+}
+
+std::vector<std::size_t> FaultPlan::named_pairs(
+    std::size_t processor_count) const {
+  std::vector<std::size_t> pairs;
+  const auto name = [&](std::size_t src, std::size_t dst, bool symmetric) {
+    pairs.push_back(src * processor_count + dst);
+    if (symmetric) pairs.push_back(dst * processor_count + src);
+  };
+  for (const LinkCut& cut : cuts) name(cut.src, cut.dst, cut.symmetric);
+  for (const FlappingLink& flap : flapping)
+    name(flap.src, flap.dst, flap.symmetric);
+  for (const Brownout& brownout : brownouts)
+    name(brownout.src, brownout.dst, brownout.symmetric);
+  std::sort(pairs.begin(), pairs.end());
+  pairs.erase(std::unique(pairs.begin(), pairs.end()), pairs.end());
+  return pairs;
 }
 
 bool FaultPlan::node_dead_forever(std::size_t node, double now_s) const {

@@ -113,6 +113,19 @@ struct FaultPlan {
   /// crash-restart window.
   [[nodiscard]] bool node_dead(std::size_t node, double now_s) const;
 
+  /// down[p] == node_dead(p, now_s) for every p < processor_count, from
+  /// one pass over the crash lists instead of one pass per node. The
+  /// plan must validate for `processor_count`.
+  [[nodiscard]] std::vector<char> dead_nodes(std::size_t processor_count,
+                                             double now_s) const;
+
+  /// Every ordered pair a cut, flap or brownout names, both directions of
+  /// a symmetric entry, as the flat index src * processor_count + dst;
+  /// ascending, without repeats. Outside these pairs link_cut is false and
+  /// brownout_factor is 1 at every instant.
+  [[nodiscard]] std::vector<std::size_t> named_pairs(
+      std::size_t processor_count) const;
+
   /// True when `node` is down at `now_s` and will never recover
   /// (crash-stop). A crash-restart window is down but not dead forever.
   [[nodiscard]] bool node_dead_forever(std::size_t node, double now_s) const;

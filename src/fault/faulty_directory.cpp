@@ -16,6 +16,7 @@ FaultyDirectory::FaultyDirectory(const DirectoryService& base, FaultPlan plan,
   if (!(unreachable_factor > 0.0) || !(unreachable_factor <= 1.0) ||
       !std::isfinite(unreachable_factor))
     throw InputError("FaultyDirectory: unreachable_factor must be in (0, 1]");
+  named_pairs_ = plan_.named_pairs(base_.processor_count());
 }
 
 std::size_t FaultyDirectory::processor_count() const {
@@ -41,6 +42,48 @@ LinkParams FaultyDirectory::query(std::size_t src, std::size_t dst,
   const double brownout = plan_.brownout_factor(src, dst, now_s);
   if (brownout < 1.0) params.bandwidth_Bps *= brownout;
   return params;
+}
+
+NetworkModel FaultyDirectory::snapshot(double now_s) const {
+  NetworkModel model = base_.snapshot(now_s);
+  const std::size_t n = model.processor_count();
+  for (std::size_t p = 0; p < n; ++p) model.set_link(p, p, {0.0, 1.0});
+  const auto scale = [&](std::size_t src, std::size_t dst, double factor) {
+    LinkParams params = model.link(src, dst);
+    params.bandwidth_Bps *= factor;
+    model.set_link(src, dst, params);
+  };
+  // A dead node collapses its whole row and column; each pair once, so a
+  // pair of two dead nodes is scaled by its row only.
+  const std::vector<char> dead = plan_.dead_nodes(n, now_s);
+  for (std::size_t p = 0; p < n; ++p) {
+    if (dead[p] == 0) continue;
+    for (std::size_t q = 0; q < n; ++q) {
+      if (q != p) scale(p, q, unreachable_factor_);
+      if (dead[q] == 0) scale(q, p, unreachable_factor_);
+    }
+  }
+  // Every other pair query would change is one the plan names.
+  for (const std::size_t pair : named_pairs_) {
+    const std::size_t src = pair / n;
+    const std::size_t dst = pair % n;
+    if (dead[src] != 0 || dead[dst] != 0) continue;
+    if (plan_.link_cut(src, dst, now_s)) {
+      scale(src, dst, unreachable_factor_);
+    } else {
+      const double brownout = plan_.brownout_factor(src, dst, now_s);
+      if (brownout < 1.0) scale(src, dst, brownout);
+    }
+  }
+  return model;
+}
+
+std::vector<std::size_t> FaultyDirectory::cut_pairs(double now_s) const {
+  const std::size_t n = base_.processor_count();
+  std::vector<std::size_t> cut;
+  for (const std::size_t pair : named_pairs_)
+    if (plan_.link_cut(pair / n, pair % n, now_s)) cut.push_back(pair);
+  return cut;
 }
 
 FaultPlanModel::FaultPlanModel(const FaultPlan& plan, double timeout_slack,

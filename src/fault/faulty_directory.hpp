@@ -13,6 +13,9 @@
 // transfer. Both views are deterministic functions of the same plan.
 #pragma once
 
+#include <cstddef>
+#include <vector>
+
 #include "fault/fault_plan.hpp"
 #include "netmodel/directory.hpp"
 #include "sim/fault_hook.hpp"
@@ -35,9 +38,21 @@ class FaultyDirectory final : public DirectoryService {
   [[nodiscard]] LinkParams query(std::size_t src, std::size_t dst,
                                  double now_s) const override;
 
+  /// Bit for bit the per-pair DirectoryService::snapshot, at the cost of
+  /// one base snapshot plus O(|plan| · P) patches: only the rows and
+  /// columns of nodes dead at `now_s` and the pairs the plan names are
+  /// recomputed, each from the base snapshot's own entry with query's
+  /// arithmetic. Requires the base's snapshot to agree with its query
+  /// off the diagonal (every directory in hcs does).
+  [[nodiscard]] NetworkModel snapshot(double now_s) const override;
+
   /// False when (src, dst) is cut at `now_s` or either endpoint is dead.
   [[nodiscard]] bool reachable(std::size_t src, std::size_t dst,
                                double now_s) const;
+
+  /// Flat indices src * P + dst, ascending, of the pairs cut at `now_s`:
+  /// plan().link_cut asked only of the pairs the plan names.
+  [[nodiscard]] std::vector<std::size_t> cut_pairs(double now_s) const;
 
   [[nodiscard]] const FaultPlan& plan() const noexcept { return plan_; }
 
@@ -45,6 +60,7 @@ class FaultyDirectory final : public DirectoryService {
   const DirectoryService& base_;
   FaultPlan plan_;
   double unreachable_factor_;
+  std::vector<std::size_t> named_pairs_;  ///< plan_.named_pairs(P)
 };
 
 /// Execution-side semantics of a FaultPlan, as the simulator's

@@ -43,4 +43,19 @@ LinkParams QuarantineDirectory::query(std::size_t src, std::size_t dst,
   return params;
 }
 
+NetworkModel QuarantineDirectory::snapshot(double now_s) const {
+  NetworkModel model = base_.snapshot(now_s);
+  const std::size_t n = model.processor_count();
+  for (std::size_t p = 0; p < n; ++p) model.set_link(p, p, {0.0, 1.0});
+  for (const std::size_t pair : health_.quarantined_pairs()) {
+    const std::size_t src = pair / n;
+    const std::size_t dst = pair % n;
+    if (src == dst) continue;
+    LinkParams params = model.link(src, dst);
+    params.bandwidth_Bps *= health_.options().quarantine_bandwidth_factor;
+    model.set_link(src, dst, params);
+  }
+  return model;
+}
+
 }  // namespace hcs

@@ -78,7 +78,14 @@ class HealthMonitor {
   /// executor polls this every checkpoint round to skip quarantine
   /// bookkeeping on healthy runs.
   [[nodiscard]] std::size_t quarantined_pair_count() const noexcept {
-    return quarantined_count_;
+    return quarantined_.size();
+  }
+
+  /// Flat indices src * P + dst of the quarantined pairs, in the order
+  /// they were quarantined.
+  [[nodiscard]] const std::vector<std::size_t>& quarantined_pairs()
+      const noexcept {
+    return quarantined_;
   }
 
  private:
@@ -97,14 +104,14 @@ class HealthMonitor {
     ++pair.consecutive_strikes;
     if (pair.consecutive_strikes >= options_.strike_limit && !pair.quarantined) {
       pair.quarantined = true;
-      ++quarantined_count_;
+      quarantined_.push_back(src * n_ + dst);
     }
   }
 
   std::size_t n_ = 0;
   HealthOptions options_;
   std::vector<PairHealth> pairs_;
-  std::size_t quarantined_count_ = 0;
+  std::vector<std::size_t> quarantined_;
 };
 
 /// Directory decorator advertising quarantined pairs as near-unreachable,
@@ -118,6 +125,11 @@ class QuarantineDirectory final : public DirectoryService {
   [[nodiscard]] std::size_t processor_count() const override;
   [[nodiscard]] LinkParams query(std::size_t src, std::size_t dst,
                                  double now_s) const override;
+
+  /// Bit for bit the per-pair DirectoryService::snapshot: one base
+  /// snapshot with the quarantined pairs patched. Requires the base's
+  /// snapshot to agree with its query off the diagonal.
+  [[nodiscard]] NetworkModel snapshot(double now_s) const override;
 
  private:
   const DirectoryService& base_;
