@@ -32,9 +32,10 @@ CommMatrix::CommMatrix(const NetworkModel& network, const MessageMatrix& message
     : CommMatrix(build_times(network, messages)) {}
 
 double CommMatrix::lower_bound() const {
+  const std::vector<double> recv = recv_totals();
   double bound = 0.0;
   for (std::size_t p = 0; p < processor_count(); ++p)
-    bound = std::max({bound, send_total(p), recv_total(p)});
+    bound = std::max({bound, send_total(p), recv[p]});
   return bound;
 }
 

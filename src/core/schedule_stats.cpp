@@ -33,6 +33,7 @@ ScheduleStats analyze_schedule(const Schedule& schedule, const CommMatrix& comm)
         (side == PortSide::kSend ? row.send_busy_s : row.recv_busy_s) = 0.0;
       });
 
+  const std::vector<double> recv_totals = comm.recv_totals();
   double bottleneck_total = -1.0;
   double utilization_sum = 0.0;
   for (std::size_t p = 0; p < n; ++p) {
@@ -43,7 +44,7 @@ ScheduleStats analyze_schedule(const Schedule& schedule, const CommMatrix& comm)
     }
     utilization_sum += row.send_utilization + row.recv_utilization;
 
-    const double port_total = std::max(comm.send_total(p), comm.recv_total(p));
+    const double port_total = std::max(comm.send_total(p), recv_totals[p]);
     if (port_total > bottleneck_total) {
       bottleneck_total = port_total;
       stats.bottleneck_processor = p;

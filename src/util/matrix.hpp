@@ -83,6 +83,17 @@ class Matrix {
     return total;
   }
 
+  /// Every column's sum from one row-major pass; each column adds its
+  /// rows in ascending order, so entry c equals col_sum(c) bit for bit.
+  [[nodiscard]] std::vector<T> col_sums() const {
+    std::vector<T> totals(cols_, T{});
+    for (std::size_t r = 0; r < rows_; ++r) {
+      const T* values = data_.data() + r * cols_;
+      for (std::size_t c = 0; c < cols_; ++c) totals[c] += values[c];
+    }
+    return totals;
+  }
+
   /// Applies `fn(r, c, value&)` to every element, row-major.
   template <typename Fn>
   void for_each(Fn&& fn) {
