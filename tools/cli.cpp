@@ -617,6 +617,8 @@ int cmd_trace(const Options& options, std::ostream& out, std::ostream& err) {
   const auto seed = static_cast<std::uint64_t>(options.get_long("seed", 1));
   const Scenario scenario = parse_scenario(options.get("scenario", "mixed"));
   const std::string format = options.get("format", "diagram");
+  if (format != "diagram" && format != "chrome" && format != "metrics")
+    throw InputError("unknown trace format '" + format + "'");
   const std::string model_name = options.get("model", "serialized");
   const long rows = options.get_long("rows", 24);
   if (rows < 1) throw InputError("--rows must be >= 1");
@@ -679,15 +681,13 @@ int cmd_trace(const Options& options, std::ostream& out, std::ostream& err) {
     out << render_trace_diagram(trace, static_cast<std::size_t>(rows));
   } else if (format == "chrome") {
     write_chrome_trace(out, trace);
-  } else if (format == "metrics") {
+  } else {
     MetricsRegistry metrics;
     trace_metrics(trace, exec.totals.completion_time, metrics);
     if (spec.has_faults)
       record_metrics(exec.totals, exec.planned.completion_time(), metrics);
     metrics.write_json(out);
     out << '\n';
-  } else {
-    throw InputError("unknown trace format '" + format + "'");
   }
 
   if (options.has("audit")) {
