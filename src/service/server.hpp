@@ -266,6 +266,8 @@ class ScheduleServer {
   std::atomic<std::uint64_t> drain_rejections_{0};
   std::atomic<std::uint64_t> request_limit_closes_{0};
   std::atomic<std::uint64_t> accepted_connections_{0};
+  /// Failed accept calls; each costs the acceptor one poll interval.
+  std::atomic<std::uint64_t> accept_errors_{0};
   std::atomic<std::uint64_t> snapshot_reuses_{0};
   std::atomic<std::uint64_t> snapshot_builds_{0};
   std::chrono::steady_clock::time_point started_at_;

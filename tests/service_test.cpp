@@ -5,14 +5,18 @@
 // tsan in CI), and the daemon end to end over real UNIX and TCP
 // sockets, including sweep-shard service and the per-connection
 // request limit.
+#include <fcntl.h>
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <chrono>
+#include <ctime>
 #include <cstring>
 #include <cstdint>
 #include <limits>
@@ -859,6 +863,72 @@ TEST(ScheduleServerTest, PerConnectionLimitAnswersBusyAndHangsUp) {
   EXPECT_TRUE(fresh.schedule(request).cache_hit);
   EXPECT_EQ(server.scrape().counter("service.request_limit_closes").value(),
             1u);
+  server.stop();
+}
+
+/// CPU time this process has used so far, in seconds.
+double process_cpu_s() {
+  timespec now{};
+  ::clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &now);
+  return static_cast<double>(now.tv_sec) + 1e-9 * static_cast<double>(now.tv_nsec);
+}
+
+// With the descriptor table full, accept fails while the pending
+// connection keeps the listen socket readable. The acceptor must back
+// off a poll interval per failure, count it, and serve again once
+// descriptors free up. The descriptor limit is process-wide, so the test
+// restores it before returning (ctest runs each case in its own process).
+TEST(ScheduleServerTest, AcceptFailureBacksOffInsteadOfSpinning) {
+  const std::size_t p = 8;
+  const StaticDirectory directory{generate_network(p, 36)};
+  ServerOptions options;
+  options.socket_path = test_socket_path("emfile");
+  options.workers = 1;
+  ScheduleServer server(directory, options);
+  server.start();
+
+  rlimit saved{};
+  ASSERT_EQ(::getrlimit(RLIMIT_NOFILE, &saved), 0);
+  rlimit lowered = saved;
+  lowered.rlim_cur = std::min<rlim_t>(saved.rlim_cur, 256);
+  ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &lowered), 0);
+  std::vector<int> filler;
+  for (int fd; (fd = ::open("/dev/null", O_RDONLY)) >= 0;) filler.push_back(fd);
+  ASSERT_FALSE(filler.empty());
+  // One slot for the client; the queued connection then has none.
+  ::close(filler.back());
+  filler.pop_back();
+  const int client = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  ASSERT_GE(client, 0);
+  sockaddr_un address{};
+  address.sun_family = AF_UNIX;
+  std::strncpy(address.sun_path, options.socket_path.c_str(),
+               sizeof(address.sun_path) - 1);
+  ASSERT_EQ(::connect(client, reinterpret_cast<const sockaddr*>(&address),
+                      sizeof(address)),
+            0);
+
+  std::this_thread::sleep_for(std::chrono::milliseconds(150));
+  const double cpu_before = process_cpu_s();
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  const double idle_cpu_s = process_cpu_s() - cpu_before;
+  const std::uint64_t errors =
+      server.scrape().counter("service.accept_errors").value();
+
+  for (const int fd : filler) ::close(fd);
+  ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &saved), 0);
+  EXPECT_GT(errors, 0u);
+  EXPECT_LT(idle_cpu_s, 0.05) << "the acceptor spins on a full table";
+
+  // Descriptors are back: the queued connection and a fresh client are
+  // both served.
+  ScheduleRequest request;
+  request.kind = SchedulerKind::kGreedy;
+  request.messages = make_instance(Scenario::kSmallMessages, p, 6).messages;
+  ServiceClient fresh(options.socket_path);
+  EXPECT_EQ(fresh.schedule(request).processors, p);
+  ::close(client);
+  EXPECT_GE(server.scrape().counter("service.connections").value(), 2u);
   server.stop();
 }
 
