@@ -127,7 +127,7 @@ TEST(ScheduleStats, IdentifiesBottleneckAndRatio) {
   EXPECT_GE(stats.ratio_to_lower_bound, 1.0 - 1e-12);
   // The bottleneck's port total equals the lower bound.
   const std::size_t b = stats.bottleneck_processor;
-  EXPECT_DOUBLE_EQ(std::max(comm.send_total(b), comm.recv_total(b)),
+  EXPECT_DOUBLE_EQ(std::max(comm.send_total(b), comm.recv_totals()[b]),
                    comm.lower_bound());
 }
 
@@ -137,7 +137,7 @@ TEST(ScheduleStats, BusyTimesMatchMatrixTotals) {
   const ScheduleStats stats = analyze_schedule(scheduler->schedule(comm), comm);
   for (const ProcessorStats& row : stats.processors) {
     EXPECT_NEAR(row.send_busy_s, comm.send_total(row.processor), 1e-9);
-    EXPECT_NEAR(row.recv_busy_s, comm.recv_total(row.processor), 1e-9);
+    EXPECT_NEAR(row.recv_busy_s, comm.recv_totals()[row.processor], 1e-9);
     EXPECT_LE(row.send_utilization, 1.0 + 1e-12);
     EXPECT_LE(row.last_active_s, stats.completion_s + 1e-12);
   }

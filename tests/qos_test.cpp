@@ -174,7 +174,7 @@ TEST(CriticalResource, CriticalFinishMatchesItsOwnTrafficBound) {
   const Schedule schedule = scheduler.schedule(comm);
   const double finish = involvement_finish_time(schedule, critical);
   EXPECT_LE(finish,
-            comm.send_total(critical) + comm.recv_total(critical) + 1e-9);
+            comm.send_total(critical) + comm.recv_totals()[critical] + 1e-9);
 }
 
 TEST(CriticalResource, OutOfRangeProcessorThrows) {
