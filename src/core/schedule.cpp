@@ -21,14 +21,8 @@ Schedule::Schedule(std::size_t processor_count,
       throw InputError("Schedule: event time is not finite");
     if (event.finish_s < event.start_s)
       throw InputError("Schedule: event finishes before it starts");
+    completion_s_ = std::max(completion_s_, event.finish_s);
   }
-}
-
-double Schedule::completion_time() const {
-  double latest = 0.0;
-  for (const ScheduledEvent& event : events_)
-    latest = std::max(latest, event.finish_s);
-  return latest;
 }
 
 PortStream::PortStream(const Schedule& schedule, PortSide side)

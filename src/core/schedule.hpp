@@ -139,8 +139,11 @@ class Schedule {
     return events_;
   }
 
-  /// Time at which the last event completes.
-  [[nodiscard]] double completion_time() const;
+  /// Time at which the last event completes (0 with no events); folded
+  /// once by the constructor.
+  [[nodiscard]] double completion_time() const noexcept {
+    return completion_s_;
+  }
 
   /// Events sent by `src`, in port order.
   [[nodiscard]] std::vector<ScheduledEvent> sender_events(std::size_t src) const;
@@ -195,6 +198,7 @@ class Schedule {
  private:
   std::size_t processor_count_ = 0;
   std::vector<ScheduledEvent> events_;
+  double completion_s_ = 0.0;
 };
 
 template <typename Visit, typename Restart>

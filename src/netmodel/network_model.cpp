@@ -1,5 +1,7 @@
 #include "netmodel/network_model.hpp"
 
+#include <span>
+
 namespace hcs {
 
 NetworkModel::NetworkModel(std::size_t processor_count, LinkParams params)
@@ -13,17 +15,15 @@ NetworkModel::NetworkModel(Matrix<double> startup_s,
   if (!startup_s_.square() || !bandwidth_Bps_.square() ||
       startup_s_.rows() != bandwidth_Bps_.rows())
     throw InputError("NetworkModel: parameter matrices must be square and equal-sized");
-  bandwidth_Bps_.for_each([](std::size_t r, std::size_t c, double& b) {
-    if (r != c && b <= 0.0)
+  // One flat pass per matrix; flat index k is on the diagonal when
+  // k % (n + 1) == 0, which is asked only of a non-positive bandwidth.
+  const std::size_t n = startup_s_.rows();
+  const std::span<const double> bandwidth = bandwidth_Bps_.data();
+  for (std::size_t k = 0; k < bandwidth.size(); ++k)
+    if (bandwidth[k] <= 0.0 && k % (n + 1) != 0)
       throw InputError("NetworkModel: off-diagonal bandwidth must be positive");
-  });
-  startup_s_.for_each([](std::size_t, std::size_t, double& t) {
+  for (const double t : startup_s_.data())
     if (t < 0.0) throw InputError("NetworkModel: negative startup");
-  });
-}
-
-LinkParams NetworkModel::link(std::size_t src, std::size_t dst) const {
-  return {startup_s_(src, dst), bandwidth_Bps_(src, dst)};
 }
 
 void NetworkModel::set_link(std::size_t src, std::size_t dst, LinkParams params) {

@@ -32,8 +32,11 @@ class NetworkModel {
     return startup_s_.rows();
   }
 
-  /// Performance parameters of the ordered pair (src -> dst).
-  [[nodiscard]] LinkParams link(std::size_t src, std::size_t dst) const;
+  /// Performance parameters of the ordered pair (src -> dst). Inline:
+  /// detection and instance builds call it once per pair at wide P.
+  [[nodiscard]] LinkParams link(std::size_t src, std::size_t dst) const {
+    return {startup_s_(src, dst), bandwidth_Bps_(src, dst)};
+  }
 
   /// Replaces the parameters for one ordered pair (used by drifting
   /// directories and topology re-evaluation).

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <span>
 
 #include "util/error.hpp"
 
@@ -38,6 +39,10 @@ LinkParams HierarchicalTopology::end_to_end(std::size_t src, std::size_t dst) co
   const std::size_t sb = site_of(dst);
   if (src == dst)
     return LinkParams{0.0, std::numeric_limits<double>::max()};
+  return site_link(sa, sb);
+}
+
+LinkParams HierarchicalTopology::site_link(std::size_t sa, std::size_t sb) const {
   if (sa == sb) return sites_[sa].lan;
   const LinkParams& lan_a = sites_[sa].lan;
   const LinkParams& lan_b = sites_[sb].lan;
@@ -51,12 +56,18 @@ NetworkModel HierarchicalTopology::to_network(bool divide_shared_wan) const {
   const std::size_t n = node_count_;
   Matrix<double> startup(n, n, 0.0);
   Matrix<double> bandwidth(n, n, std::numeric_limits<double>::max());
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = 0; j < n; ++j) {
-      if (i == j) continue;
-      LinkParams params = end_to_end(i, j);
-      const std::size_t sa = site_of(i);
-      const std::size_t sb = site_of(j);
+  const std::span<double> t = startup.mutable_data();
+  const std::span<double> b = bandwidth.mutable_data();
+  // Sites hold contiguous node ranges and every node pair of two sites
+  // sees the same link, so each site pair's parameters are computed once
+  // and filled as a block; only the diagonal keeps its 0 s / max B/s.
+  std::size_t first_a = 0;
+  for (std::size_t sa = 0; sa < sites_.size(); ++sa) {
+    const std::size_t end_a = first_a + sites_[sa].node_count;
+    std::size_t first_b = 0;
+    for (std::size_t sb = 0; sb < sites_.size(); ++sb) {
+      const std::size_t end_b = first_b + sites_[sb].node_count;
+      LinkParams params = site_link(sa, sb);
       if (divide_shared_wan && sa != sb) {
         // Worst-case concurrency of a total exchange: every (node in sa,
         // node in sb) pair streams across the same WAN link at once.
@@ -67,9 +78,19 @@ NetworkModel HierarchicalTopology::to_network(bool divide_shared_wan) const {
             std::min({sites_[sa].lan.bandwidth_Bps, shared_wan,
                       sites_[sb].lan.bandwidth_Bps});
       }
-      startup(i, j) = params.startup_s;
-      bandwidth(i, j) = params.bandwidth_Bps;
+      for (std::size_t i = first_a; i < end_a; ++i) {
+        std::fill(t.begin() + i * n + first_b, t.begin() + i * n + end_b,
+                  params.startup_s);
+        std::fill(b.begin() + i * n + first_b, b.begin() + i * n + end_b,
+                  params.bandwidth_Bps);
+      }
+      first_b = end_b;
     }
+    for (std::size_t i = first_a; i < end_a; ++i) {
+      t[i * n + i] = 0.0;
+      b[i * n + i] = std::numeric_limits<double>::max();
+    }
+    first_a = end_a;
   }
   return NetworkModel{std::move(startup), std::move(bandwidth)};
 }

@@ -63,6 +63,10 @@ class HierarchicalTopology {
   [[nodiscard]] NetworkModel to_network(bool divide_shared_wan = false) const;
 
  private:
+  /// Parameters every node of site `sa` sees to every other node of site
+  /// `sb`: the LAN within one site, LAN + WAN + LAN across two.
+  [[nodiscard]] LinkParams site_link(std::size_t sa, std::size_t sb) const;
+
   std::vector<SiteSpec> sites_;
   Matrix<LinkParams> wan_;
   std::vector<std::size_t> node_site_;  ///< node id -> site id
